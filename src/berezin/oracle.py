@@ -10,6 +10,7 @@ refuse oversized inputs rather than degrade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -96,6 +97,15 @@ def oracle_matrix_element(cfg: ModelConfig, g: HeisenbergElement,
     return complex(grid.s * np.sum(phase * moved * ej))
 
 
+@lru_cache(maxsize=8)
+def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, built once per order, read-only."""
+    u, w = np.polynomial.hermite.hermgauss(order)
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
+
+
 def gauss_hermite_matrix_element(cfg: ModelConfig, g: HeisenbergElement,
                                  j: int, k: int, order: int = 180) -> complex:
     """(pi(g) e_k | e_j) by Gauss-Hermite quadrature (n = 1).
@@ -116,7 +126,7 @@ def gauss_hermite_matrix_element(cfg: ModelConfig, g: HeisenbergElement,
         raise ValueError("mode index beyond oracle overflow guard")
     lam = cfg.lam
     a, b, c = float(g.a[0]), float(g.b[0]), g.c
-    u, w = np.polynomial.hermite.hermgauss(order)
+    u, w = _hermgauss(order)
     atil = np.sqrt(lam) * a
     nj = 1.0 / np.sqrt(2.0 ** j * factorial(j) * np.sqrt(np.pi))
     nk = 1.0 / np.sqrt(2.0 ** k * factorial(k) * np.sqrt(np.pi))

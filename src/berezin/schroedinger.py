@@ -3,9 +3,12 @@
 The representation acts on position-space functions by
     (pi([a,b,c]) f)(t) = e^{i lam (c - b.t + a.b/2)} f(t - a),
 and this module realizes its compression to the first M Hermite modes per
-axis: matrix elements are computed by position-space quadrature on the
-package's own grid (closed displacement formulas are reserved for the oracle),
-so there is a single code path from the group law to every downstream value.
+axis.  Point queries (rep_matrix, apply_group, coherent_state) compute matrix
+elements by position-space quadrature on the package's own grid.  The coherent
+table over the whole phase grid uses the exact Bargmann form of the displaced
+vacuum instead, (e_m | pi(x) phi) = e^{-|w|^2/2} w^m / sqrt(m!) with
+w = sqrt(lam/2)(a + ib), which needs no quadrature at all; the chirp-z
+quadrature of ambiguity_batch stays as its independent oracle.
 
 Matrix orientation: rep_matrix(g)[j, k] = (pi(g) e_k | e_j), the coefficient
 of e_j in pi(g) e_k, so column k literally equals apply_group(g, e_k) and
@@ -14,6 +17,7 @@ matrix products compose like operator products.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +29,13 @@ from .core import (ModelConfig, HermiteState, OperatorMatrix, PhaseGrid,
 from .heisenberg import HeisenbergElement, PhasePoint
 
 _CACHE_SNAP = 1e-9  # relative distance to a grid multiple for cache eligibility
-_TABLE_LIMIT = 2 ** 24  # max num_points * dim entries for the coherent table
+# max num_points * dim entries of the coherent table; the closed-form build
+# allocates nothing larger than one (G, G) slice besides the table itself, so
+# at n = 1 this bounds the whole working set (n > 1 assembly needs twice it)
+_TABLE_LIMIT = 2 ** 24
+# table entries below this modulus are stored as exact zeros, so every product
+# of two entries is zero or a normal float (subnormal arithmetic is slow)
+_TABLE_FLOOR = 2.0 ** -511
 
 
 @dataclass
@@ -53,10 +63,7 @@ class RepresentationContext:
         self.t, self.s = position_quadrature(self.cfg)
         self.H = hermite_columns(self.t, self.cfg.M, self.cfg.lam)
 
-    # -- vacuum and validity ------------------------------------------------
-
-    def vacuum_position(self) -> np.ndarray:
-        return self.H[:, 0]
+    # -- validity -------------------------------------------------------------
 
     def check_displacement(self, a: np.ndarray, b: np.ndarray) -> None:
         r = max(np.abs(a).max(), np.abs(b).max())
@@ -75,7 +82,7 @@ class RepresentationContext:
         lam = self.cfg.lam
         Hs = hermite_columns(self.t - a, self.cfg.M, lam)
         mod = np.exp(-1j * lam * b * self.t)
-        R = np.einsum("pj,p,pk->jk", self.H, mod, Hs) * self.s
+        R = ((self.H.T * mod) @ Hs) * self.s
         return np.exp(1j * lam * a * b / 2.0) * R
 
     def _displacement_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,32 +122,63 @@ class RepresentationContext:
                     self._coherent_table = self._build_coherent_table()
         return self._coherent_table
 
+    def coherent_columns(self) -> Iterator[np.ndarray]:
+        """Columns m = 0..M-1 of the 1-axis coherent table, one (G*G,) array each.
+
+        pi([a,b,0]) e_0 is the coherent state with e_m-coefficient
+        e^{-|w|^2/2} conj(w)^m / sqrt(m!), w = sqrt(lam/2)(a + ib) over the
+        1-axis (a, b) grid in row-major order; the columns hold the conjugates,
+        built by the overflow-free recurrence in m, with entries below
+        _TABLE_FLOOR stored as exact zeros.  One column at a time keeps the
+        working set at a few (G, G) arrays whatever M is.
+        """
+        ax = self.grid.axis
+        w = (np.sqrt(self.cfg.lam / 2.0)
+             * (ax[:, None] + 1j * ax[None, :])).ravel()
+        raw = np.exp(-0.5 * (w.real ** 2 + w.imag ** 2)).astype(complex)
+        for m in range(self.cfg.M):
+            if m:
+                raw = raw * (w / np.sqrt(m))
+            yield np.where(np.abs(raw) < _TABLE_FLOOR, 0.0, raw)
+
     def _build_coherent_table(self) -> np.ndarray:
         if self.grid.num_points * self.cfg.dim > _TABLE_LIMIT:
             raise MemoryError("coherent table would exceed the size guard; "
                               "reduce G or M")
-        e0 = np.zeros(self.cfg.M, dtype=complex)
-        e0[0] = 1.0
-        C1 = ambiguity_batch(self, self.H, e0)
         G, M, n = self.cfg.G, self.cfg.M, self.cfg.n
+        C1 = np.empty((G * G, M), dtype=complex)
+        for m, col in enumerate(self.coherent_columns()):
+            C1[:, m] = col
         if n == 1:
-            return C1.reshape(G * G, M)
+            return C1
         # combine per-axis tables: the rep factorizes over axes and the grid
         # is ordered (a_1..a_n, b_1..b_n), so transpose pair blocks into place
-        C = C1  # (Ga, Gb, M)
-        out = C
+        C1 = C1.reshape(G, G, M)
+        out = C1
         for _ in range(1, n):
-            out = np.tensordot(out, C, axes=0)
+            out = np.tensordot(out, C1, axes=0)
         # out axes: (a1 b1 m1 a2 b2 m2 ...) -> (a1..an b1..bn m1..mn)
         perm = ([3 * k for k in range(n)] + [3 * k + 1 for k in range(n)]
                 + [3 * k + 2 for k in range(n)])
-        out = np.transpose(out, perm)
-        return out.reshape(G ** (2 * n), M ** n)
+        out = np.transpose(out, perm).reshape(G ** (2 * n), M ** n)
+        return _flush_tiny(out)
+
+
+def _flush_tiny(C: np.ndarray) -> np.ndarray:
+    """Zero the entries of C below _TABLE_FLOOR in place, one column at a time."""
+    for m in range(C.shape[-1]):
+        col = C[..., m]
+        col[np.abs(col) < _TABLE_FLOOR] = 0.0
+    return C
 
 
 def ambiguity_batch(ctx: RepresentationContext, U: np.ndarray,
                     window: np.ndarray) -> np.ndarray:
     """Values (u_m | pi([a,b,0]) v) on the full 1-axis (a,b) grid, batched in u.
+
+    Quadrature oracle of the closed-form coherent table (U = ctx.H, v = e_0)
+    and of the n = 1 coefficient map (U = ctx.H @ f, v = phi); no main-path
+    route calls it.
 
     U has shape (Np, nf): position samples of nf states on ctx.t.  window is
     the coefficient vector of the window state v (length M, one axis), which

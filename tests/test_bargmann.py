@@ -1,0 +1,141 @@
+"""Closed-form (Bargmann) coherent table and the n = 1 coefficient map on it.
+
+The main path builds the table from e^{-|w|^2/2} w^m / sqrt(m!) and the
+n = 1 coefficient map from Laguerre recurrences on the same columns, made
+one at a time; the position-space chirp-z quadrature ambiguity_batch checks
+both.
+"""
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from berezin import (HermiteState, ModelConfig, RepresentationContext,
+                     analysis, coefficient_map, default_L, gaussian_vector)
+from berezin import schroedinger
+from berezin.schroedinger import ambiguity_batch
+
+FLOOR = 2.0 ** -511
+
+
+def _ctx(lam, M, G, n=1):
+    return RepresentationContext(ModelConfig(
+        n=n, lam=lam, M=M, L=default_L(lam, M), G=G,
+        tol_identity=1e-6, tol_quadrature=1e-5))
+
+
+def _random_coeffs(rng, M):
+    return rng.standard_normal(M) + 1j * rng.standard_normal(M)
+
+
+def _quadrature_map(ctx, f, phi):
+    return ambiguity_batch(ctx, ctx.H @ f, phi)[:, :, 0].ravel()
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("M,G", [(16, 128), (32, 128), (16, 256)])
+def test_closed_form_table_matches_quadrature(lam, M, G):
+    ctx = _ctx(lam, M, G)
+    e0 = np.zeros(M, dtype=complex)
+    e0[0] = 1.0
+    ref = ambiguity_batch(ctx, ctx.H, e0).reshape(G * G, M)
+    assert np.abs(ctx.coherent_table() - ref).max() < 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("M,G", [(16, 128), (32, 128)])
+def test_coefficient_map_matches_quadrature(lam, M, G):
+    # M = 32 pins the stable recurrence: expanding (a - conj(w))^j f against
+    # the table loses ~3e-4 here
+    ctx = _ctx(lam, M, G)
+    rng = np.random.default_rng(7)
+    f = _random_coeffs(rng, M)
+    vac = gaussian_vector(ctx.cfg).coeffs
+    partial = _random_coeffs(rng, M)
+    partial[M // 3:] = 0.0
+    for phi in (vac, _random_coeffs(rng, M), partial):
+        got = coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
+        ref = _quadrature_map(ctx, f, phi)
+        scale = np.linalg.norm(f) * np.linalg.norm(phi)
+        assert np.abs(got - ref).max() < 1e-9 * scale
+
+
+def test_vacuum_window_matches_table_product():
+    ctx = _ctx(1.0, 8, 64)
+    f = HermiteState(_random_coeffs(np.random.default_rng(1), 8))
+    got = coefficient_map(ctx, f, gaussian_vector(ctx.cfg)).values
+    np.testing.assert_allclose(got, ctx.coherent_table() @ f.coeffs,
+                               rtol=0, atol=1e-15 * np.linalg.norm(f.coeffs))
+    # analysis is the vacuum-window coefficient map, on the same route
+    np.testing.assert_array_equal(analysis(ctx, f).values, got)
+
+
+def test_table_columns_are_the_streamed_columns():
+    ctx = _ctx(4.0, 16, 64)
+    cols = np.stack(list(ctx.coherent_columns()), axis=1)
+    np.testing.assert_array_equal(ctx.coherent_table(), cols)
+
+
+def test_coefficient_map_needs_no_table(monkeypatch):
+    # a config whose table the size guard refuses still gets its map
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 0)
+    ctx = _ctx(1.0, 16, 64)
+    rng = np.random.default_rng(3)
+    f, phi = _random_coeffs(rng, 16), _random_coeffs(rng, 16)
+    got = coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
+    assert ctx._coherent_table is None
+    with pytest.raises(MemoryError):
+        ctx.coherent_table()
+    ref = _quadrature_map(ctx, f, phi)
+    assert np.abs(got - ref).max() < 1e-9 * np.linalg.norm(f) * np.linalg.norm(phi)
+
+
+def test_coefficient_map_working_set_is_a_few_grid_arrays():
+    M, G = 32, 256
+    ctx = _ctx(1.0, M, G)
+    rng = np.random.default_rng(4)
+    f, phi = (HermiteState(_random_coeffs(rng, M)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        coefficient_map(ctx, f, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured ~8.7 (G, G) complex arrays, whatever M is; the table is M of them
+    assert peak <= 12 * G * G * 16
+
+
+def test_n2_table_rows_are_kronecker_products():
+    M, G = 3, 24
+    C1 = _ctx(1.0, M, G).coherent_table().reshape(G, G, M)
+    C2 = _ctx(1.0, M, G, n=2).coherent_table().reshape(G, G, G, G, M * M)
+    rng = np.random.default_rng(2)
+    for a1, a2, b1, b2 in rng.integers(0, G, size=(12, 4)):
+        row = np.kron(C1[a1, b1], C1[a2, b2])
+        row[np.abs(row) < FLOOR] = 0.0
+        # tensordot and kron may round the complex product differently
+        np.testing.assert_allclose(C2[a1, a2, b1, b2], row, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
+def test_table_has_no_entries_below_floor(lam):
+    C = _ctx(lam, 32, 128).coherent_table()
+    mod = np.abs(C)
+    assert not np.any((mod > 0.0) & (mod < FLOOR))
+    assert np.any(mod == 0.0)  # the box corners do underflow the floor
+    # so every product of two entries is zero or a normal float
+    assert mod[mod > 0.0].min() ** 2 >= np.finfo(float).tiny
+
+
+def test_table_working_set_within_twice_the_table():
+    ctx = _ctx(1.0, 32, 256)
+    tracemalloc.start()
+    try:
+        C = ctx.coherent_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert C.nbytes == 256 * 256 * 32 * 16
+    assert peak <= 2 * C.nbytes

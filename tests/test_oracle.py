@@ -131,3 +131,14 @@ def test_analytic_singular_values_closed_forms():
         0.11836557243109886, abs=1e-12)
     assert analytic_singular_values(4)[-1] == pytest.approx(
         0.04314713606049981, abs=1e-12)
+
+
+def test_gauss_hermite_nodes_cached_read_only():
+    from berezin.oracle import _hermgauss
+    u, w = _hermgauss(180)
+    assert _hermgauss(180)[0] is u
+    assert not u.flags.writeable and not w.flags.writeable
+    cfg = default_config(lam=1.0, M=8)
+    g = HeisenbergElement([0.6], [-0.9], 0.2)
+    first = gauss_hermite_matrix_element(cfg, g, 3, 5)
+    assert gauss_hermite_matrix_element(cfg, g, 3, 5) == first

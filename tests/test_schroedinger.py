@@ -151,7 +151,7 @@ def test_coherent_state_beyond_box_rejected(ctx):
 
 
 def test_coherent_table_rows_match_direct_states(ctx):
-    # chirp-z batch vs one-at-a-time matrix construction
+    # closed-form table vs one-at-a-time quadrature matrix construction
     C = ctx.coherent_table()
     G = ctx.cfg.G
     rng = np.random.default_rng(5)
@@ -167,3 +167,16 @@ def test_rep_matrix_cache_consistency(ctx):
     A = rep_matrix(ctx, g).entries
     B = rep_matrix(ctx, g).entries
     np.testing.assert_array_equal(A, B)
+
+
+def test_rep_block_matches_three_operand_sum(ctx):
+    # the BLAS form of the quadrature against the literal sum over nodes
+    from berezin.core import hermite_columns
+    lam = ctx.cfg.lam
+    for (a, b) in [(0.4, -0.7), (-1.3, 2.1)]:
+        Hs = hermite_columns(ctx.t - a, ctx.cfg.M, lam)
+        mod = np.exp(-1j * lam * b * ctx.t)
+        ref = (np.exp(1j * lam * a * b / 2.0) * ctx.s
+               * np.einsum("pj,p,pk->jk", ctx.H, mod, Hs))
+        np.testing.assert_allclose(ctx._rep_matrix_1d(a, b), ref,
+                                   rtol=0, atol=1e-14)

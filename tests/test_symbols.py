@@ -329,3 +329,13 @@ def test_injectivity_report_m4_regression():
     assert rep["sigma_min"] == pytest.approx(0.04314713606049981, abs=1e-9)
     assert rep["verdict"] == "injective-at-truncation"
     assert rep["cond"] == pytest.approx(rep["sigma_max"] / rep["sigma_min"])
+
+
+def test_covariant_symbol_leaves_table_untouched(ctx8):
+    C = ctx8.coherent_table()
+    before = C.copy()
+    A = _random_operator(np.random.default_rng(4), 8)
+    vals = covariant_symbol(ctx8, A).values
+    np.testing.assert_array_equal(C, before)
+    ref = np.einsum("km,km->k", C @ A.entries, C.conj())
+    np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-15)
