@@ -189,8 +189,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, TruncationError, ValueError, OSError, MemoryError,
-            NotImplementedError) as exc:
+    except (ConfigError, TruncationError, ValueError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

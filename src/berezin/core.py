@@ -302,7 +302,7 @@ def hermite_columns(t: np.ndarray, M: int, lam: float) -> np.ndarray:
 
 
 def position_quadrature(cfg: ModelConfig) -> tuple[np.ndarray, float]:
-    """Main-path 1D position grid (t, s) for representation quadrature.
+    """1D position grid (t, s) of the chirp-z oracle ambiguity_batch.
 
     Half-width reaches the classical turning point of the top retained mode
     plus 10 Gaussian decay lengths; the step resolves both the fastest Hermite

@@ -85,9 +85,12 @@ def write_grid_csv(path, fn, quantity: str, cfg: ModelConfig) -> None:
     """CSV rows `a1,..,bn,re,im` in grid order plus a sidecar manifest."""
     coords = _coordinates(fn)
     table = np.column_stack([coords, fn.values.real, fn.values.imag])
+    # np.savetxt's bytes; 1024-row chunks keep few float objects alive at once
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_csv_header(fn.grid.n) + "\n")
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+        for k in range(0, len(table), 1024):
+            fh.writelines(row % tuple(r) for r in table[k:k + 1024].tolist())
     grid = fn.grid
     manifest = {"config": config_to_dict(cfg),
                 "grid": {"L": grid.L, "G": grid.G, "h": grid.h,

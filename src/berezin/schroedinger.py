@@ -3,12 +3,11 @@
 The representation acts on position-space functions by
     (pi([a,b,c]) f)(t) = e^{i lam (c - b.t + a.b/2)} f(t - a),
 and this module realizes its compression to the first M Hermite modes per
-axis.  Point queries (rep_matrix, apply_group, coherent_state) compute matrix
-elements by position-space quadrature on the package's own grid.  The coherent
-table over the whole phase grid uses the exact Bargmann form of the displaced
-vacuum instead, (e_m | pi(x) phi) = e^{-|w|^2/2} w^m / sqrt(m!) with
-w = sqrt(lam/2)(a + ib), which needs no quadrature at all; the chirp-z
-quadrature of ambiguity_batch stays as its independent oracle.
+axis.  Every matrix element is closed form (Folland 1989, ch. 1): pi([a,b,0])
+on one axis is D[j+d, j] = conj(C_d) ell^d_j, D[j, j+d] = (-1)^d C_d ell^d_j
+(displacement_1d) with C_d = e^{-|w|^2/2} w^d / sqrt(d!), w = sqrt(lam/2)(a + ib),
+ell^d_j = sqrt(j! d!/(j+d)!) L_j^(d)(|w|^2).  Point queries and the coherent
+table (column 0) use it; ambiguity_batch's chirp-z quadrature is its oracle.
 
 Matrix orientation: rep_matrix(g)[j, k] = (pi(g) e_k | e_j), the coefficient
 of e_j in pi(g) e_k, so column k literally equals apply_group(g, e_k) and
@@ -19,6 +18,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.signal import CZT
@@ -29,39 +29,80 @@ from .core import (ModelConfig, HermiteState, OperatorMatrix, PhaseGrid,
 from .heisenberg import HeisenbergElement, PhasePoint
 
 _CACHE_SNAP = 1e-9  # relative distance to a grid multiple for cache eligibility
-# max num_points * dim entries of the coherent table; the closed-form build
-# allocates nothing larger than one (G, G) slice besides the table itself, so
-# at n = 1 this bounds the whole working set (n > 1 assembly needs twice it)
+_CACHE_BYTES = 2 ** 25  # displacement matrices one context caches
+# max complex entries of the coherent table; the closed-form build allocates
+# nothing larger than one (G, G) slice besides it.  Also the n > 1 coefficient
+# map's bound on its output, the output's transposed copy and its per-axis table
 _TABLE_LIMIT = 2 ** 24
 # table entries below this modulus are stored as exact zeros, so every product
 # of two entries is zero or a normal float (subnormal arithmetic is slow)
 _TABLE_FLOOR = 2.0 ** -511
 
 
+def _bargmann_columns(w, M: int) -> Iterator[np.ndarray]:
+    """C_d for d = 0..M-1 by the overflow-free C_d = C_{d-1} w / sqrt(d)."""
+    raw = np.exp(-0.5 * (w.real ** 2 + w.imag ** 2)).astype(complex)
+    for d in range(M):
+        raw = raw * (w / np.sqrt(d)) if d else raw
+        yield raw
+
+
+@lru_cache(maxsize=8)
+def _laguerre_coefficients(M: int) -> np.ndarray:
+    """Read-only [j, d] arrays 2j+d+1, sqrt((j+1)(j+d+1)), sqrt(j(j+d))/that."""
+    j, d = np.indices((M, M), dtype=float)
+    den = np.sqrt((j + 1.0) * (j + d + 1.0))
+    coef = np.stack([2.0 * j + d + 1.0, den, np.sqrt(j * (j + d)) / den])
+    coef.flags.writeable = False
+    return coef
+
+
+def _laguerre_factors(rho, M: int, d, steps: int) -> Iterator[np.ndarray]:
+    """ell^d_j(rho) for j = 0..steps; d is a mode index or a slice of them.
+
+    Bounded three-term recurrence from ell^d_0 = 1 (each C_d ell^d_j is a
+    matrix element; expanding (a - conj(w))^j instead cancels up to ~1e8):
+      sqrt((j+1)(j+d+1)) ell^d_{j+1} = (2j+d+1-rho) ell^d_j - sqrt(j(j+d)) ell^d_{j-1}.
+    """
+    num, den, gam = _laguerre_coefficients(M)
+    prev, cur = 0.0, np.ones(np.broadcast(rho, num[0, d]).shape)
+    yield cur
+    for j in range(steps):
+        prev, cur = cur, (cur * ((num[j, d] - rho) / den[j, d])
+                          - gam[j, d] * prev)
+        yield cur
+
+
+def displacement_1d(lam: float, a, b, M: int) -> np.ndarray:
+    """D[..., m, j] = (pi([a,b,0]) e_j | e_m) on one axis; a, b broadcast."""
+    w = np.sqrt(lam / 2.0) * (np.asarray(a) + 1j * np.asarray(b))
+    C = _flush_tiny(np.stack(list(_bargmann_columns(w, M)), axis=-1))
+    rho = (w.real ** 2 + w.imag ** 2)[..., None]
+    ell = np.stack(list(_laguerre_factors(rho, M, slice(None), M - 1)), -1)
+    m, j = np.indices((M, M))
+    d = np.abs(m - j)
+    Cd = C[..., d]
+    return (np.where(m >= j, np.conj(Cd), (-1.0) ** d * Cd)
+            * ell[..., d, np.minimum(m, j)])
+
+
 @dataclass
 class RepresentationContext:
     """Shared, immutable-after-construction state for one configuration.
 
-    Holds the phase grid, the 1D position quadrature (nodes t, step s, basis
-    value table H), a write-once cache of representation matrices keyed by
-    grid-quantized displacements, and the lazily built coherent coefficient
-    table.  Safe for concurrent read use; racing cache writers produce
-    identical values, so last-write-wins is harmless.
+    Holds the phase grid, a bounded cache of read-only representation matrices
+    keyed by grid-quantized displacements, and the lazily built coherent
+    coefficient table.  Safe for concurrent read use.
     """
 
     cfg: ModelConfig
     grid: PhaseGrid = field(init=False)
-    t: np.ndarray = field(init=False)
-    s: float = field(init=False)
-    H: np.ndarray = field(init=False)
     _rep_cache: dict = field(init=False, default_factory=dict)
     _lock: threading.Lock = field(init=False, default_factory=threading.Lock)
     _coherent_table: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.grid = build_grid(self.cfg)
-        self.t, self.s = position_quadrature(self.cfg)
-        self.H = hermite_columns(self.t, self.cfg.M, self.cfg.lam)
 
     # -- validity -------------------------------------------------------------
 
@@ -74,23 +115,11 @@ class RepresentationContext:
 
     # -- 1D matrix blocks ----------------------------------------------------
 
-    def _rep_matrix_1d(self, a: float, b: float) -> np.ndarray:
-        """Quadrature of R[j,k] = (pi([a,b,0]) e_k | e_j) for one axis.
-
-        R[j,k] = e^{i lam a b / 2} * s * sum_p e_j(t_p) e^{-i lam b t_p} e_k(t_p - a).
-        """
-        lam = self.cfg.lam
-        Hs = hermite_columns(self.t - a, self.cfg.M, lam)
-        mod = np.exp(-1j * lam * b * self.t)
-        R = ((self.H.T * mod) @ Hs) * self.s
-        return np.exp(1j * lam * a * b / 2.0) * R
-
     def _displacement_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix of pi([a,b,0]), tensor product over axes for n > 1."""
-        R = self._rep_matrix_1d(float(a[0]), float(b[0]))
-        for k in range(1, self.cfg.n):
-            R = np.kron(R, self._rep_matrix_1d(float(a[k]), float(b[k])))
-        return R
+        lam, M = self.cfg.lam, self.cfg.M
+        return reduce(np.kron, [displacement_1d(lam, x, y, M)
+                                for x, y in zip(a, b)])
 
     def _cached_displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Cache matrices only for exact grid-commensurate displacements."""
@@ -103,9 +132,11 @@ class RepresentationContext:
         key = (tuple(int(q) for q in qa), tuple(int(q) for q in qb))
         got = self._rep_cache.get(key)
         if got is None:
-            mat = self._displacement_matrix(qa * h, qb * h)
-            with self._lock:
-                got = self._rep_cache.setdefault(key, mat)
+            got = self._displacement_matrix(qa * h, qb * h)
+            got.flags.writeable = False
+            with self._lock:  # a full cache leaves later matrices uncached
+                if (len(self._rep_cache) + 1) * got.nbytes <= _CACHE_BYTES:
+                    self._rep_cache[key] = got
         return got
 
     # -- coherent coefficient table ------------------------------------------
@@ -125,21 +156,15 @@ class RepresentationContext:
     def coherent_columns(self) -> Iterator[np.ndarray]:
         """Columns m = 0..M-1 of the 1-axis coherent table, one (G*G,) array each.
 
-        pi([a,b,0]) e_0 is the coherent state with e_m-coefficient
-        e^{-|w|^2/2} conj(w)^m / sqrt(m!), w = sqrt(lam/2)(a + ib) over the
-        1-axis (a, b) grid in row-major order; the columns hold the conjugates,
-        built by the overflow-free recurrence in m, with entries below
-        _TABLE_FLOOR stored as exact zeros.  One column at a time keeps the
-        working set at a few (G, G) arrays whatever M is.
+        Column m holds C_m (module docstring) over the 1-axis (a, b) grid in
+        row-major order, entries below _TABLE_FLOOR as exact zeros.  One column
+        at a time keeps the working set at a few (G, G) arrays whatever M is.
         """
         ax = self.grid.axis
         w = (np.sqrt(self.cfg.lam / 2.0)
              * (ax[:, None] + 1j * ax[None, :])).ravel()
-        raw = np.exp(-0.5 * (w.real ** 2 + w.imag ** 2)).astype(complex)
-        for m in range(self.cfg.M):
-            if m:
-                raw = raw * (w / np.sqrt(m))
-            yield np.where(np.abs(raw) < _TABLE_FLOOR, 0.0, raw)
+        for col in _bargmann_columns(w, self.cfg.M):
+            yield np.where(np.abs(col) < _TABLE_FLOOR, 0.0, col)
 
     def _build_coherent_table(self) -> np.ndarray:
         if self.grid.num_points * self.cfg.dim > _TABLE_LIMIT:
@@ -152,14 +177,10 @@ class RepresentationContext:
         if n == 1:
             return C1
         # combine per-axis tables: the rep factorizes over axes and the grid
-        # is ordered (a_1..a_n, b_1..b_n), so transpose pair blocks into place
-        C1 = C1.reshape(G, G, M)
-        out = C1
-        for _ in range(1, n):
-            out = np.tensordot(out, C1, axes=0)
-        # out axes: (a1 b1 m1 a2 b2 m2 ...) -> (a1..an b1..bn m1..mn)
-        perm = ([3 * k for k in range(n)] + [3 * k + 1 for k in range(n)]
-                + [3 * k + 2 for k in range(n)])
+        # is ordered (a_1..a_n, b_1..b_n), so transpose pair blocks into place:
+        # out axes (a1 b1 m1 a2 b2 m2 ...) -> (a1..an b1..bn m1..mn)
+        out = reduce(np.multiply.outer, [C1.reshape(G, G, M)] * n)
+        perm = [3 * k + r for r in range(3) for k in range(n)]
         out = np.transpose(out, perm).reshape(G ** (2 * n), M ** n)
         return _flush_tiny(out)
 
@@ -172,17 +193,16 @@ def _flush_tiny(C: np.ndarray) -> np.ndarray:
     return C
 
 
-def ambiguity_batch(ctx: RepresentationContext, U: np.ndarray,
+def ambiguity_batch(ctx: RepresentationContext, F: np.ndarray,
                     window: np.ndarray) -> np.ndarray:
     """Values (u_m | pi([a,b,0]) v) on the full 1-axis (a,b) grid, batched in u.
 
-    Quadrature oracle of the closed-form coherent table (U = ctx.H, v = e_0)
-    and of the n = 1 coefficient map (U = ctx.H @ f, v = phi); no main-path
-    route calls it.
+    Quadrature oracle of displacement_1d and the routes on it (F = I, v = e_0
+    gives the coherent table); no main-path route calls it.
 
-    U has shape (Np, nf): position samples of nf states on ctx.t.  window is
-    the coefficient vector of the window state v (length M, one axis), which
-    gets synthesized at the shifted nodes t - a for every grid column a.
+    F has shape (M, nf): coefficients of nf states u, sampled on the grid of
+    position_quadrature.  window is the coefficient vector of the window state
+    v (length M, one axis), synthesized at the shifted nodes t - a.
     Returns (G, G, nf) with axes (a-index, b-index, batch).
 
     (u | pi([a,b,0]) v) = e^{-i lam a b/2} * s * sum_p u(t_p) conj(v(t_p - a))
@@ -194,18 +214,16 @@ def ambiguity_batch(ctx: RepresentationContext, U: np.ndarray,
     """
     cfg, grid = ctx.cfg, ctx.grid
     lam, G, M = cfg.lam, cfg.G, cfg.M
-    t, s = ctx.t, ctx.s
+    t, s = position_quadrature(cfg)
     Np = t.size
-    U = np.asarray(U)
+    U = hermite_columns(t, M, lam) @ np.asarray(F)
     if U.ndim == 1:
         U = U[:, None]
     window = np.asarray(window, dtype=complex).ravel()
     if window.size != M:
         raise ValueError("window must have one coefficient per axis mode")
     ax = grid.axis
-    vshift = np.empty((G, Np), dtype=complex)
-    for i, a in enumerate(ax):
-        vshift[i] = np.conj(hermite_columns(t - a, M, lam) @ window)
+    vshift = np.conj(hermite_columns(t[None, :] - ax[:, None], M, lam) @ window)
     pre = np.exp(-1j * lam * (G / 2.0) * grid.h * s * np.arange(Np))
     Y = vshift[:, :, None] * (U * pre[:, None])[None, :, :]
     plan = CZT(Np, m=G, w=np.exp(1j * lam * grid.h * s), a=1.0 + 0.0j)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridFunction, HermiteState, PhaseGrid
-from .schroedinger import RepresentationContext
+from .schroedinger import (_TABLE_LIMIT, RepresentationContext,
+                           _laguerre_factors, displacement_1d)
 
 
 @dataclass
@@ -115,96 +116,72 @@ def coefficient_map(ctx: RepresentationContext, f: HermiteState,
                     phi: HermiteState) -> GridFunction:
     """values_k = (f | pi([a_k, b_k, 0]) phi) over the whole phase grid.
 
-    n = 1 runs on the coherent table (_coefficient_map_1d); n > 1 contracts
-    per-axis matrix-element tables (feasible for the small truncations where
-    n > 1 is usable at all).  Linear in f and conjugate-linear in phi.
+    n = 1 streams coherent-table columns, any n > 1 contracts per-axis tables
+    of displacement_1d.  Linear in f and conjugate-linear in phi.
     """
     cfg = ctx.cfg
     if f.dim != cfg.dim or phi.dim != cfg.dim:
         raise ValueError("state dimension mismatch")
-    if cfg.n == 1:
-        vals = _coefficient_map_1d(ctx, f.coeffs, phi.coeffs)
-        return GridFunction(grid=ctx.grid, values=vals)
-    return _coefficient_map_nd(ctx, f, phi)
+    route = _coefficient_map_1d if cfg.n == 1 else _coefficient_map_nd
+    return GridFunction(grid=ctx.grid, values=route(ctx, f.coeffs, phi.coeffs))
 
 
 def _coefficient_map_1d(ctx: RepresentationContext, f: np.ndarray,
                         phi: np.ndarray) -> np.ndarray:
     """(f | pi(x_k) phi) at n = 1, exact in the truncation, column by column.
 
-    With D the matrix of pi(x_k) (coefficient of e_m in pi(x_k) e_j at [m, j]),
-    C_d the coherent table column d and rho = |w_k|^2, the Laguerre form of
-    the displacement operator gives
-      conj(D[j+d, j]) = C_d ell^d_j,   ell^d_j = sqrt(j! d! / (j+d)!) L_j^(d)(rho),
-      conj(D[j, j+d]) = (-1)^d conj(C_d) ell^d_j,
-    with real ell^d_j obeying the three-term recurrence (ell^d_0 = 1)
-      sqrt((j+1)(j+d+1)) ell^d_{j+1} = (2j+d+1-rho) ell^d_j - sqrt(j(j+d)) ell^d_{j-1}.
-    Hence
-      values = sum_d C_d sum_j f_{j+d} conj(phi_j) ell^d_j
-             + conj(sum_{d>0} C_d sum_j (-1)^d conj(f_j) phi_{j+d} ell^d_j).
-    Each C_d ell^d_j is a matrix element, so every term is bounded by 1; expanding
-    (a - conj(w))^j f instead cancels terms up to ~1e8 at M = 32.  ell depends
-    on rho alone, which takes ~G^2/10 distinct values on the grid, so the
-    recurrence runs on those; j stops at the last nonzero window coefficient,
-    so the vacuum window is one pass over the columns.  The working set is a
-    few (G, G) arrays: the table is never held.
+    With C_d the coherent table column d and O[m, j] = f_m conj(phi_j), the
+    Laguerre form of pi(x_k) (schroedinger module docstring) gives
+      values = sum_d C_d sum_j O[j+d, j] ell^d_j
+             + conj(sum_{d>0} C_d sum_j (-1)^d conj(O[j, j+d]) ell^d_j).
+    ell depends on rho = |w_k|^2 alone, which takes ~G^2/10 distinct values on
+    the grid, so the recurrence runs on those; j stops at the last nonzero
+    window coefficient, so the vacuum window is one pass over the columns.
+    The working set is a few (G, G) arrays: the table is never held.
     """
     M, G = ctx.cfg.M, ctx.cfg.G
     nz = np.flatnonzero(phi)
     J = int(nz[-1]) if nz.size else 0
-    di, ji = np.indices((M, M))
-    inside = di + ji < M
-    k = np.minimum(di + ji, M - 1)
-    lower = np.where(inside, f[k] * np.conj(phi[ji]), 0.0)  # [d, j]
-    upper = np.where(inside & (di > 0),
-                     (-1.0) ** di * np.conj(f[ji]) * phi[k], 0.0)
+    O = np.outer(f, np.conj(phi))
     idx = np.arange(G) - G // 2  # grid.axis / h
     q, inv = np.unique((idx[:, None] ** 2 + idx[None, :] ** 2).ravel(),
                        return_inverse=True)
     rho = (ctx.cfg.lam / 2.0) * ctx.grid.h ** 2 * q
     out = np.zeros(G * G, dtype=complex)
     for d, col in enumerate(ctx.coherent_columns()):
-        s_lo, s_up = lower[d, 0], upper[d, 0]
+        lo, up = np.diagonal(O, -d), (-1.0) ** d * np.conj(np.diagonal(O, d))
+        s_lo, s_up = lo[0], up[0]
         steps = min(J, M - 1 - d)
         if steps:
-            s_lo, s_up = np.full(q.size, s_lo), np.full(q.size, s_up)
-            prev, cur = 0.0, np.ones(q.size)
-            for j in range(steps):
-                den = np.sqrt((j + 1.0) * (j + d + 1.0))
-                prev, cur = cur, (cur * ((2 * j + d + 1.0 - rho) / den)
-                                  - (np.sqrt(j * (j + d)) / den) * prev)
-                # cur = ell^d_{j+1}
-                s_lo += lower[d, j + 1] * cur
-                s_up += upper[d, j + 1] * cur
+            ells = _laguerre_factors(rho, M, d, steps)
+            next(ells)  # ell^d_0 = 1
+            for j, ell in enumerate(ells, start=1):
+                s_lo = s_lo + lo[j] * ell
+                s_up = s_up + up[j] * ell
             s_lo, s_up = s_lo[inv], s_up[inv]
         out += col * s_lo
-        if J:
+        if J and d:
             out += np.conj(col * s_up)
     return out
 
 
-def _coefficient_map_nd(ctx: RepresentationContext, f: HermiteState,
-                        phi: HermiteState) -> GridFunction:
-    """(f | pi(x) phi) = sum_{m,j} f_m conj(phi_j) prod_ax conj(R_ax[m_ax, j_ax])."""
+def _coefficient_map_nd(ctx: RepresentationContext, f: np.ndarray,
+                        phi: np.ndarray) -> np.ndarray:
+    """(f | pi(x) phi) = sum_{m,j} f_m conj(phi_j) prod_k T[a_k, b_k, m_k, j_k], any n,
+    T = conj(displacement_1d) on the 1-axis grid, contracted one axis at a time."""
     cfg = ctx.cfg
     n, M, G = cfg.n, cfg.M, cfg.G
-    if G * G * M * M > 2 ** 22:
-        raise MemoryError("per-axis table too large for the n > 1 path")
+    need = 2 * G ** (2 * n) + G * G * M * M  # output, its transposed copy, T
+    if need > _TABLE_LIMIT:
+        raise MemoryError("n > 1 coefficient map needs %d complex entries, over the "
+                          "size guard of %d; reduce G or M" % (need, _TABLE_LIMIT))
     ax = ctx.grid.axis
-    T = np.empty((G, G, M, M), dtype=complex)
-    for ia, a in enumerate(ax):
-        for ib, b in enumerate(ax):
-            T[ia, ib] = np.conj(ctx._rep_matrix_1d(a, b))
-    F = f.coeffs.reshape((M,) * n)
-    P = np.conj(phi.coeffs.reshape((M,) * n))
-    if n == 2:
-        out = np.einsum("ABmj,CDnl,mn,jl->ACBD", T, T, F, P, optimize=True)
-    elif n == 3:
-        out = np.einsum("ABmj,CDnl,EFpq,mnp,jlq->ACEBDF", T, T, T, F, P,
-                        optimize=True)
-    else:
-        raise NotImplementedError("coefficient_map supports n <= 3")
-    return GridFunction(grid=ctx.grid, values=out.ravel())
+    T = np.conj(displacement_1d(cfg.lam, ax[:, None], ax[None, :], M))
+    X = np.multiply.outer(f.reshape((M,) * n), np.conj(phi).reshape((M,) * n))
+    for k in range(n):  # contract (m_k, j_k), the first m and j left; append
+        X = np.tensordot(X, T, axes=([0, n - k], [2, 3]))  # (a_k, b_k)
+    X = X.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    return X.reshape(-1)
 
 
 def wigner(ctx: RepresentationContext, f: HermiteState,

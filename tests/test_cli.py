@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from berezin import default_config
+from berezin import ModelConfig, default_config
 from berezin.cli import main
 from berezin.io import read_grid_csv, save_config, write_operator_csv, \
     write_state_csv
@@ -242,3 +242,19 @@ def test_unknown_subcommand_exits_2(paths):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", str(paths["cfg_path"])])
     assert exc.value.code == 2
+
+
+def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
+    # 2 G^4 + G^2 M^2 = 16897296 complex entries, just over 2^24; M = 28
+    # would be 16743168, just under.  Refused before anything is allocated.
+    cfg = ModelConfig(n=2, lam=1.0, M=29, L=7.0, G=52, tol_identity=1e-6,
+                      tol_quadrature=1e-5)
+    cfg_path = paths["root"] / "n2_big.json"
+    save_config(cfg_path, cfg)
+    state_path = paths["root"] / "n2_big_state.csv"
+    write_state_csv(state_path, np.eye(1, cfg.dim, 0, dtype=complex)[0])
+    code = main(["wigner", "--config", str(cfg_path), "--state",
+                 str(state_path), "--out", str(paths["root"] / "out_big")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "16897296" in err and "size guard of 16777216" in err

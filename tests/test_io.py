@@ -1,14 +1,16 @@
 """Config JSON, CSV round trips, sidecar manifests."""
 from __future__ import annotations
 
+import io
 import json
 from datetime import datetime
 
 import numpy as np
 import pytest
 
-from berezin import (ConfigError, GridFunction, RepresentationContext,
-                     default_config, gaussian_vector, wigner)
+from berezin import (ConfigError, GridFunction, PhaseGrid,
+                     RepresentationContext, default_config, gaussian_vector,
+                     wigner)
 from berezin.io import (config_from_dict, config_to_dict, load_config,
                         read_grid_csv, read_operator_csv, read_state_csv,
                         save_config, write_grid_csv, write_operator_csv,
@@ -81,6 +83,21 @@ def test_grid_csv_round_trip(tmp_path):
     coords, back = read_grid_csv(p)
     np.testing.assert_array_equal(back, vals)  # %.17g is exact for float64
     np.testing.assert_array_equal(coords, ctx.grid.points())
+
+
+def test_grid_csv_rows_are_the_bytes_of_savetxt(tmp_path):
+    grid = PhaseGrid(n=1, lam=1.0, L=4.0, G=48)  # 2304 rows: three chunks
+    rng = np.random.default_rng(8)
+    vals = rng.standard_normal(grid.num_points) * 1e3 \
+        + 1j * rng.standard_normal(grid.num_points)
+    vals[:4] = [-0.0, 5e-324, 1e300 - 0.0j, complex(-1e-300, -0.0)]
+    fn = GridFunction(grid=grid, values=vals)
+    p = tmp_path / "g.csv"
+    write_grid_csv(p, fn, "test", default_config())
+    table = np.column_stack([grid.points(), vals.real, vals.imag])
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",")
+    assert p.read_text(encoding="utf-8") == "a1,b1,re,im\n" + buf.getvalue()
 
 
 def test_grid_csv_sidecar_manifest(tmp_path):

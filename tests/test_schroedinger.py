@@ -7,6 +7,8 @@ import pytest
 from berezin import (HeisenbergElement, PhasePoint, RepresentationContext,
                      TruncationError, apply_group, basis_state, coherent_state,
                      default_config, gaussian_vector, multiply, rep_matrix)
+from berezin import schroedinger
+from berezin.schroedinger import displacement_1d
 from berezin.oracle import (PositionGrid, displacement_element,
                             gauss_hermite_matrix_element,
                             oracle_matrix_element, synthesize)
@@ -151,7 +153,7 @@ def test_coherent_state_beyond_box_rejected(ctx):
 
 
 def test_coherent_table_rows_match_direct_states(ctx):
-    # closed-form table vs one-at-a-time quadrature matrix construction
+    # the whole-grid table vs one-at-a-time displacement matrices
     C = ctx.coherent_table()
     G = ctx.cfg.G
     rng = np.random.default_rng(5)
@@ -169,14 +171,42 @@ def test_rep_matrix_cache_consistency(ctx):
     np.testing.assert_array_equal(A, B)
 
 
-def test_rep_block_matches_three_operand_sum(ctx):
-    # the BLAS form of the quadrature against the literal sum over nodes
-    from berezin.core import hermite_columns
-    lam = ctx.cfg.lam
-    for (a, b) in [(0.4, -0.7), (-1.3, 2.1)]:
-        Hs = hermite_columns(ctx.t - a, ctx.cfg.M, lam)
-        mod = np.exp(-1j * lam * b * ctx.t)
-        ref = (np.exp(1j * lam * a * b / 2.0) * ctx.s
-               * np.einsum("pj,p,pk->jk", ctx.H, mod, Hs))
-        np.testing.assert_allclose(ctx._rep_matrix_1d(a, b), ref,
-                                   rtol=0, atol=1e-14)
+@pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("M", [8, 16, 32])
+def test_displacement_1d_against_both_oracles(lam, M):
+    cfg = default_config(lam=lam, M=M)
+    pg = PositionGrid.for_config(cfg)
+    for (a, b) in [(0.6, -0.9), (2.1, 1.3)]:
+        a, b = a / np.sqrt(lam), b / np.sqrt(lam)
+        D = displacement_1d(lam, a, b, M)
+        g = HeisenbergElement([a], [b], 0.0)
+        for j in range(M):
+            for k in range(M):
+                assert abs(D[j, k] - oracle_matrix_element(
+                    cfg, g, j, k, grid=pg)) < 1e-12
+                assert abs(D[j, k] - gauss_hermite_matrix_element(
+                    cfg, g, j, k)) < 1e-12
+
+
+def test_displacement_column_zero_is_the_coherent_table(ctx):
+    ax = ctx.grid.axis
+    D = displacement_1d(ctx.cfg.lam, ax[:, None], ax[None, :], ctx.cfg.M)
+    C = ctx.coherent_table().reshape(ctx.cfg.G, ctx.cfg.G, ctx.cfg.M)
+    np.testing.assert_array_equal(D[:, :, :, 0], np.conj(C))
+
+
+def test_rep_cache_is_bounded_and_read_only(monkeypatch):
+    cx = RepresentationContext(default_config(lam=1.0, M=8))
+    monkeypatch.setattr(schroedinger, "_CACHE_BYTES", 3 * 8 * 8 * 16)
+    h = cx.grid.h
+    gs = [HeisenbergElement([k * h], [-2 * k * h], 0.0) for k in range(1, 7)]
+    first = [rep_matrix(cx, g).entries for g in gs]
+    assert len(cx._rep_cache) == 3
+    for mat in cx._rep_cache.values():
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+    # cached and uncached displacements give the same matrices on a repeat
+    for g, mat in zip(gs, first):
+        np.testing.assert_array_equal(rep_matrix(cx, g).entries, mat)
+    assert len(cx._rep_cache) == 3
