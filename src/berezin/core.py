@@ -109,7 +109,7 @@ def validate_grid_resolution(cfg: ModelConfig) -> None:
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Uniform tensor grid on [-L, L)^{2n}, points at (j - G/2)*h per axis.
+    """Uniform tensor grid on [-L, L)^{2n}, points at (j - G/2)*h per axis, G even.
 
     Point ordering is row-major over the axes (a_1..a_n, b_1..b_n).  The grid
     carries the normalized measure density * Lebesgue; one cell contributes
@@ -120,6 +120,11 @@ class PhaseGrid:
     lam: float
     L: float
     G: int
+
+    def __post_init__(self):
+        # the orbit Fourier transform's checkerboard kernel needs G even
+        if int(self.G) != self.G or self.G < 2 or self.G % 2 != 0:
+            raise ConfigError("G must be an even integer >= 2")
 
     @property
     def h(self) -> float:

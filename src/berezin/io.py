@@ -7,9 +7,11 @@ CLI maps to exit code 2.
 from __future__ import annotations
 
 import json
+import platform
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from .core import ConfigError, ModelConfig
 
@@ -177,13 +179,21 @@ def read_state_csv(path, dim: int) -> np.ndarray:
     return out
 
 
+def _versions() -> dict:
+    """Versions of the code that computed a run's outputs."""
+    from . import __version__
+    return {"berezin": __version__, "numpy": np.__version__,
+            "scipy": scipy.__version__, "python": platform.python_version()}
+
+
 def write_run_manifest(path, cfg: ModelConfig, command: str, outputs: list,
                        residual_summary: dict) -> None:
     doc = {"config": config_to_dict(cfg),
            "command": command,
            "outputs": [str(p) for p in outputs],
            "residual_summary": {k: float(v) for k, v in residual_summary.items()},
-           "timestamp": datetime.now(timezone.utc).isoformat()}
+           "timestamp": datetime.now(timezone.utc).isoformat(),
+           "versions": _versions()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -30,8 +30,9 @@ from .heisenberg import HeisenbergElement, PhasePoint
 
 _CACHE_SNAP = 1e-9  # relative distance to a grid multiple for cache eligibility
 _CACHE_BYTES = 2 ** 25  # displacement matrices one context caches
-# max complex entries of the coherent table; the closed-form build allocates
-# nothing larger than one (G, G) slice besides it.  Also the n > 1 coefficient
+# max complex entries of the coherent table's working set: the table at n = 1
+# (nothing larger than one (G, G) slice besides it), twice the table at n > 1
+# (the outer product and its transposed copy).  Also the n > 1 coefficient
 # map's bound on its output, the output's transposed copy and its per-axis table
 _TABLE_LIMIT = 2 ** 24
 # table entries below this modulus are stored as exact zeros, so every product
@@ -167,10 +168,14 @@ class RepresentationContext:
             yield np.where(np.abs(col) < _TABLE_FLOOR, 0.0, col)
 
     def _build_coherent_table(self) -> np.ndarray:
-        if self.grid.num_points * self.cfg.dim > _TABLE_LIMIT:
-            raise MemoryError("coherent table would exceed the size guard; "
-                              "reduce G or M")
         G, M, n = self.cfg.G, self.cfg.M, self.cfg.n
+        table = self.grid.num_points * self.cfg.dim
+        # n > 1 holds the outer product and its transposed copy at once
+        need = table if n == 1 else 2 * table
+        if need > _TABLE_LIMIT:
+            raise MemoryError("coherent table of %d complex entries needs %d, "
+                              "over the size guard of %d; reduce G or M"
+                              % (table, need, _TABLE_LIMIT))
         C1 = np.empty((G * G, M), dtype=complex)
         for m, col in enumerate(self.coherent_columns()):
             C1[:, m] = col

@@ -3,17 +3,21 @@
 The orbit carries Lebesgue measure in (alpha, beta) coordinates scaled by
 orbit_density = (2 pi lam)^{-n}; phase space carries (lam/2 pi)^n * Lebesgue.
 Orbit samples live on the reciprocal lattice xi_j = (j - G/2) * eta with
-eta = 2 pi / (G h): on that lattice the discrete kernel e^{-i<xi, x>} factors
-into checkerboard-signed DFTs per axis and the weighted transform is exactly
-unitary with an exact two-sided inverse, for every (lam, L, G).  Sampling the
-orbit on the phase grid itself would break unitarity (alias ghosts) because
-h^2 G / 2 pi is not an integer in general.
+eta = 2 pi / (G h).  On that lattice the kernel e^{-i xi_j x_k} of one axis is
+(-1)^{G/2} (-1)^j (-1)^k e^{-2 pi i jk/G} (G is even, PhaseGrid enforces it);
+over the 2n axes the factors (-1)^{G/2} cancel, so the transform is one n-D
+FFT between two checkerboards (-1)^{j_1+..+j_2n} (_orbit_dft).  The weighted
+transform is exactly unitary with an exact two-sided inverse, for every
+(lam, L, G).  Sampling the orbit on the phase grid itself would break
+unitarity (alias ghosts) because h^2 G / 2 pi is not an integer in general.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
+import scipy.fft
 
 from .core import GridFunction, HermiteState, PhaseGrid
 from .schroedinger import (_TABLE_LIMIT, RepresentationContext,
@@ -71,22 +75,35 @@ def orbit_inner(u: OrbitGridFunction, v: OrbitGridFunction) -> complex:
     return complex(u.orbit_density * u.cell_weight * np.vdot(v.values, u.values))
 
 
-def _axis_dft(arr: np.ndarray, axis: int, sign: int) -> np.ndarray:
-    """sum_j e^{-sign * i * xi_j * x_k} along one axis of reciprocal grids.
+@lru_cache(maxsize=8)
+def _checkerboard(ndim: int) -> np.ndarray:
+    """Read-only (-1)^(j_1+..+j_ndim) as a (1, 2) * ndim tensor of signs."""
+    signs = reduce(np.multiply.outer, [np.array([1.0, -1.0])] * ndim)
+    signs = signs.reshape((1, 2) * ndim)
+    signs.flags.writeable = False
+    return signs
 
-    With xi_j = (j - G/2) eta, x_k = (k - G/2) h and eta h = 2 pi / G the
-    kernel is (-1)^{G/2} (-1)^j (-1)^k e^{-sign 2 pi i jk/G}, so the sum is a
-    checkerboard-conjugated FFT (sign=+1) or inverse FFT times G (sign=-1).
+
+def _orbit_dft(vals: np.ndarray, sign: int, weight: float) -> np.ndarray:
+    """weight * sum_j e^{-sign * i <xi_j, x_k>} vals[j] over a (G,)*2n array.
+
+    Per axis the kernel is (-1)^{G/2} (-1)^j (-1)^k e^{-sign 2 pi i jk/G}
+    (module docstring); the 2n factors (-1)^{G/2} cancel, so the sum is one
+    n-D FFT (sign=+1) or unnormalized inverse FFT (sign=-1) between two
+    checkerboards.  The checkerboard multiply makes the only new array; the
+    FFT and the final scaling run in place on it.
     """
-    G = arr.shape[axis]
-    sgn = np.where(np.arange(G) % 2 == 0, 1.0, -1.0)
-    gph = 1.0 if (G // 2) % 2 == 0 else -1.0
-    moved = np.moveaxis(arr, axis, -1)
+    G, ndim = vals.shape[0], vals.ndim
+    signs = _checkerboard(ndim)
+    pairs = vals.reshape((G // 2, 2) * ndim)  # j = 2p + q: sign (-1)^q
+    work = (pairs * signs).reshape(vals.shape)
     if sign > 0:
-        out = gph * sgn * np.fft.fft(moved * sgn, axis=-1)
+        work = scipy.fft.fftn(work, overwrite_x=True)
     else:
-        out = gph * sgn * (np.fft.ifft(moved * sgn, axis=-1) * G)
-    return np.moveaxis(out, -1, axis)
+        work = scipy.fft.ifftn(work, norm="forward", overwrite_x=True)
+    out = work.reshape(pairs.shape)  # a view: the FFT output is contiguous
+    out *= weight * signs
+    return work
 
 
 def fourier_orbit(a: OrbitGridFunction) -> GridFunction:
@@ -96,19 +113,13 @@ def fourier_orbit(a: OrbitGridFunction) -> GridFunction:
     orbit_density * density * (eta h G)^{2n} = 1 holds exactly because
     eta h G = 2 pi.
     """
-    vals = a.reshape()
-    for axis in range(vals.ndim):
-        vals = _axis_dft(vals, axis, +1)
-    vals = a.orbit_density * a.cell_weight * vals
+    vals = _orbit_dft(a.reshape(), +1, a.orbit_density * a.cell_weight)
     return GridFunction(grid=a.grid, values=vals.ravel())
 
 
 def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
     """Two-sided inverse of fourier_orbit (exact at the discrete level)."""
-    vals = F.reshape()
-    for axis in range(vals.ndim):
-        vals = _axis_dft(vals, axis, -1)
-    vals = F.grid.density * F.grid.cell_weight * vals
+    vals = _orbit_dft(F.reshape(), -1, F.grid.density * F.grid.cell_weight)
     return OrbitGridFunction(grid=F.grid, values=vals.ravel())
 
 

@@ -139,3 +139,15 @@ def test_table_working_set_within_twice_the_table():
         tracemalloc.stop()
     assert C.nbytes == 256 * 256 * 32 * 16
     assert peak <= 2 * C.nbytes
+
+
+def test_n2_table_guard_counts_the_transposed_copy(monkeypatch):
+    ctx = RepresentationContext(ModelConfig(
+        n=2, lam=1.0, M=2, L=5.0, G=8, tol_identity=1e-6, tol_quadrature=0.01))
+    entries = ctx.grid.num_points * ctx.cfg.dim
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 2 * entries - 1)
+    with pytest.raises(MemoryError, match="%d complex entries needs %d"
+                       % (entries, 2 * entries)):
+        ctx.coherent_table()
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 2 * entries)
+    assert ctx.coherent_table().shape == (8 ** 4, 4)

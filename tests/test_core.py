@@ -53,6 +53,15 @@ def test_grid_points_tiny_example():
         grid.points(), [[-1, -1], [-1, 0], [0, -1], [0, 0]])
 
 
+@pytest.mark.parametrize("G", [15, 1, 0, -2, 7.5])
+def test_phase_grid_refuses_odd_or_small_G(G):
+    # the orbit FFT's checkerboard kernel is exact only for even G; at G = 15
+    # it was off from the literal double sum by O(1) (1.8 on one random
+    # input) with no error
+    with pytest.raises(ValueError, match="even integer >= 2"):
+        PhaseGrid(n=1, lam=1.0, L=4.0, G=G)
+
+
 def test_density_normalization():
     assert PhaseGrid(n=1, lam=2.0 * np.pi, L=1.0, G=2).density == pytest.approx(1.0)
     cfg = default_config(lam=1.0, M=8, L=8.0)

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import io
 import json
+import platform
 from datetime import datetime
 
 import numpy as np
 import pytest
+import scipy
 
+import berezin
 from berezin import (ConfigError, GridFunction, PhaseGrid,
                      RepresentationContext, default_config, gaussian_vector,
                      wigner)
@@ -187,7 +190,16 @@ def test_run_manifest_contents(tmp_path):
                        {"check": 1e-9})
     doc = json.loads(p.read_text())
     assert set(doc) == {"config", "command", "outputs", "residual_summary",
-                        "timestamp"}
+                        "timestamp", "versions"}
     assert doc["command"] == "verify"
     assert doc["residual_summary"] == {"check": 1e-9}
     datetime.fromisoformat(doc["timestamp"])  # parseable UTC stamp
+
+
+def test_run_manifest_records_versions(tmp_path):
+    p = tmp_path / "manifest.json"
+    write_run_manifest(p, default_config(), "wigner", [], {})
+    versions = json.loads(p.read_text())["versions"]
+    assert versions == {"berezin": berezin.__version__,
+                        "numpy": np.__version__, "scipy": scipy.__version__,
+                        "python": platform.python_version()}
