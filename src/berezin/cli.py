@@ -5,8 +5,9 @@ operator CSV), wigner (transforms of a state CSV against the vacuum window),
 report (injectivity certificate, optionally swept over M).
 
 Exit codes: 0 all checks passed / output written; 1 a numerical check failed;
-2 invalid config or input.  Outputs land in --out with fixed names, each run
-writing a manifest naming its files and residuals.
+2 invalid config or input.  report's exit code does not depend on its
+verdict: "not-certified" also exits 0.  Outputs land in --out with fixed
+names, each run writing a manifest naming its files and residuals.
 """
 from __future__ import annotations
 

@@ -165,8 +165,7 @@ class PhaseGrid:
 
 
 def build_grid(cfg: ModelConfig) -> PhaseGrid:
-    """Phase-space grid for a validated configuration."""
-    validate_grid_resolution(cfg)
+    """Phase-space grid for a configuration (validated at construction)."""
     return PhaseGrid(n=cfg.n, lam=cfg.lam, L=cfg.L, G=cfg.G)
 
 

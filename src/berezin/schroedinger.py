@@ -6,8 +6,11 @@ and this module realizes its compression to the first M Hermite modes per
 axis.  Every matrix element is closed form (Folland 1989, ch. 1): pi([a,b,0])
 on one axis is D[j+d, j] = conj(C_d) ell^d_j, D[j, j+d] = (-1)^d C_d ell^d_j
 (displacement_1d) with C_d = e^{-|w|^2/2} w^d / sqrt(d!), w = sqrt(lam/2)(a + ib),
-ell^d_j = sqrt(j! d!/(j+d)!) L_j^(d)(|w|^2).  Point queries and the coherent
-table (column 0) use it; ambiguity_batch's chirp-z quadrature is its oracle.
+ell^d_j = sqrt(j! d!/(j+d)!) L_j^(d)(|w|^2).  The coherent state phi_x =
+pi(x) phi is column 0, conj(C_d) per axis, so coherent_state and the coherent
+table read the Bargmann columns C_d directly and build no matrix; rep_matrix
+and apply_group build their matrices per query (nothing is cached).
+ambiguity_batch's chirp-z quadrature is the oracle of all of them.
 
 Matrix orientation: rep_matrix(g)[j, k] = (pi(g) e_k | e_j), the coefficient
 of e_j in pi(g) e_k, so column k literally equals apply_group(g, e_k) and
@@ -28,8 +31,6 @@ from .core import (ModelConfig, HermiteState, OperatorMatrix, PhaseGrid,
                    position_quadrature)
 from .heisenberg import HeisenbergElement, PhasePoint
 
-_CACHE_SNAP = 1e-9  # relative distance to a grid multiple for cache eligibility
-_CACHE_BYTES = 2 ** 25  # displacement matrices one context caches
 # max complex entries of the coherent table's working set: the table at n = 1
 # (nothing larger than one (G, G) slice besides it), twice the table at n > 1
 # (the outer product and its transposed copy).  Also the n > 1 coefficient
@@ -41,11 +42,15 @@ _TABLE_FLOOR = 2.0 ** -511
 
 
 def _bargmann_columns(w, M: int) -> Iterator[np.ndarray]:
-    """C_d for d = 0..M-1 by the overflow-free C_d = C_{d-1} w / sqrt(d)."""
+    """C_d for d = 0..M-1 by the overflow-free C_d = C_{d-1} w / sqrt(d).
+
+    Entries below _TABLE_FLOOR are yielded as exact zeros; the recurrence
+    itself runs on the unflushed values.
+    """
     raw = np.exp(-0.5 * (w.real ** 2 + w.imag ** 2)).astype(complex)
     for d in range(M):
         raw = raw * (w / np.sqrt(d)) if d else raw
-        yield raw
+        yield np.where(np.abs(raw) < _TABLE_FLOOR, 0.0, raw)
 
 
 @lru_cache(maxsize=8)
@@ -77,7 +82,7 @@ def _laguerre_factors(rho, M: int, d, steps: int) -> Iterator[np.ndarray]:
 def displacement_1d(lam: float, a, b, M: int) -> np.ndarray:
     """D[..., m, j] = (pi([a,b,0]) e_j | e_m) on one axis; a, b broadcast."""
     w = np.sqrt(lam / 2.0) * (np.asarray(a) + 1j * np.asarray(b))
-    C = _flush_tiny(np.stack(list(_bargmann_columns(w, M)), axis=-1))
+    C = np.stack(list(_bargmann_columns(w, M)), axis=-1)
     rho = (w.real ** 2 + w.imag ** 2)[..., None]
     ell = np.stack(list(_laguerre_factors(rho, M, slice(None), M - 1)), -1)
     m, j = np.indices((M, M))
@@ -91,14 +96,13 @@ def displacement_1d(lam: float, a, b, M: int) -> np.ndarray:
 class RepresentationContext:
     """Shared, immutable-after-construction state for one configuration.
 
-    Holds the phase grid, a bounded cache of read-only representation matrices
-    keyed by grid-quantized displacements, and the lazily built coherent
-    coefficient table.  Safe for concurrent read use.
+    Holds the phase grid and the lazily built coherent coefficient table, whose
+    columns are the Bargmann columns C_d over the grid.  No representation
+    matrix is cached.  Safe for concurrent read use.
     """
 
     cfg: ModelConfig
     grid: PhaseGrid = field(init=False)
-    _rep_cache: dict = field(init=False, default_factory=dict)
     _lock: threading.Lock = field(init=False, default_factory=threading.Lock)
     _coherent_table: np.ndarray | None = field(init=False, default=None)
 
@@ -113,32 +117,6 @@ class RepresentationContext:
             raise TruncationError(
                 "displacement exceeds truncation validity: sup|(a,b)| = %g > L = %g"
                 % (r, self.cfg.L))
-
-    # -- 1D matrix blocks ----------------------------------------------------
-
-    def _displacement_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix of pi([a,b,0]), tensor product over axes for n > 1."""
-        lam, M = self.cfg.lam, self.cfg.M
-        return reduce(np.kron, [displacement_1d(lam, x, y, M)
-                                for x, y in zip(a, b)])
-
-    def _cached_displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Cache matrices only for exact grid-commensurate displacements."""
-        h = self.grid.h
-        qa, qb = np.round(a / h), np.round(b / h)
-        on_grid = (np.abs(a - qa * h).max() < _CACHE_SNAP * max(h, 1.0)
-                   and np.abs(b - qb * h).max() < _CACHE_SNAP * max(h, 1.0))
-        if not on_grid:
-            return self._displacement_matrix(a, b)
-        key = (tuple(int(q) for q in qa), tuple(int(q) for q in qb))
-        got = self._rep_cache.get(key)
-        if got is None:
-            got = self._displacement_matrix(qa * h, qb * h)
-            got.flags.writeable = False
-            with self._lock:  # a full cache leaves later matrices uncached
-                if (len(self._rep_cache) + 1) * got.nbytes <= _CACHE_BYTES:
-                    self._rep_cache[key] = got
-        return got
 
     # -- coherent coefficient table ------------------------------------------
 
@@ -164,8 +142,7 @@ class RepresentationContext:
         ax = self.grid.axis
         w = (np.sqrt(self.cfg.lam / 2.0)
              * (ax[:, None] + 1j * ax[None, :])).ravel()
-        for col in _bargmann_columns(w, self.cfg.M):
-            yield np.where(np.abs(col) < _TABLE_FLOOR, 0.0, col)
+        yield from _bargmann_columns(w, self.cfg.M)
 
     def _build_coherent_table(self) -> np.ndarray:
         G, M, n = self.cfg.G, self.cfg.M, self.cfg.n
@@ -247,7 +224,8 @@ def rep_matrix(ctx: RepresentationContext, g: HeisenbergElement) -> OperatorMatr
     """Matrix of pi(g) on the truncation; column k is apply_group(g, e_k).
 
     Central elements give exactly e^{i lam c} * identity; general elements
-    factor as that character times the cached displacement matrix.
+    factor as that character times the Kronecker product over axes of the
+    displacement_1d matrices.
     """
     if g.n != ctx.cfg.n:
         raise ValueError("dimension mismatch")
@@ -256,7 +234,8 @@ def rep_matrix(ctx: RepresentationContext, g: HeisenbergElement) -> OperatorMatr
     scalar = np.exp(1j * lam * g.c)
     if np.all(g.a == 0.0) and np.all(g.b == 0.0):
         return OperatorMatrix(scalar * np.eye(ctx.cfg.dim, dtype=complex))
-    mat = ctx._cached_displacement(g.a, g.b)
+    mat = reduce(np.kron, [displacement_1d(lam, x, y, ctx.cfg.M)
+                           for x, y in zip(g.a, g.b)])
     return OperatorMatrix(scalar * mat)
 
 
@@ -275,12 +254,18 @@ def apply_group(ctx: RepresentationContext, g: HeisenbergElement,
 
 
 def coherent_state(ctx: RepresentationContext, x: PhasePoint) -> HermiteState:
-    """phi_x = pi([a, b, 0]) phi.
+    """phi_x = pi([a, b, 0]) phi, the Kronecker product over axes of conj(C_d).
 
-    Unit norm holds within tol_identity only while the displaced state stays
-    inside the truncation, sup|x| <~ 2/sqrt(lam) at M = 16; beyond that the
-    truncated norm decays (no renormalization is applied).
+    Equals column 0 of rep_matrix(x) bit for bit: w is formed per axis from
+    scalars, as displacement_1d forms it.  Unit norm holds within tol_identity
+    only while the displaced state stays inside the truncation, sup|x| <~
+    2/sqrt(lam) at M = 16; beyond that the truncated norm decays (no
+    renormalization is applied).
     """
     if x.n != ctx.cfg.n:
         raise ValueError("dimension mismatch")
-    return apply_group(ctx, x.as_element(), gaussian_vector(ctx.cfg))
+    ctx.check_displacement(x.a, x.b)
+    s = np.sqrt(ctx.cfg.lam / 2.0)
+    return HermiteState(reduce(np.kron, [
+        np.conj(np.stack(list(_bargmann_columns(s * (a + 1j * b), ctx.cfg.M))))
+        for a, b in zip(x.a, x.b)]))

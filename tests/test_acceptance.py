@@ -121,3 +121,16 @@ def test_full_battery_green(reports):
         bad = rep.failures()
         assert not bad, "lam=%g failed checks: %s" % (
             lam, ", ".join(c.name for c in bad))
+
+
+def test_tol_identity_sets_only_the_coherent_norm_bound(reports):
+    # the other checks carry fixed bounds; tol_identity moves none of them
+    base = reports[1.0]
+    other = run_verification(default_config(lam=1.0, tol_identity=3e-7),
+                             seed=0)
+    assert [c.name for c in other.checks] == [c.name for c in base.checks]
+    assert other.residual_summary() == base.residual_summary()
+    changed = {c.name: (b.threshold, c.threshold)
+               for b, c in zip(base.checks, other.checks)
+               if b.threshold != c.threshold}
+    assert changed == {"coherent_norm": (1e-6, 3e-7)}

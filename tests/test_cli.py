@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import berezin
 from berezin import ModelConfig, default_config
 from berezin.cli import main
 from berezin.io import read_grid_csv, save_config, write_operator_csv, \
@@ -196,6 +200,46 @@ def test_report_sweep(paths, capsys):
     manifest = json.loads((out / "report_manifest.json").read_text())
     assert set(manifest["residual_summary"]) == {
         "sigma_min_M1", "sigma_min_M2", "sigma_min_M3", "sigma_min_M4"}
+
+
+def test_report_not_certified_exits_0(paths, capsys):
+    # sigma_min = 6.49e-4 at M = 8 misses the 100 * tol_quadrature = 1e-3
+    # verdict threshold; the exit code does not depend on the verdict
+    out = paths["root"] / "out_rep_m8"
+    rc = main(["report", "--config", str(paths["cfg_path"]),
+               "--out", str(out)])
+    assert rc == 0
+    assert "not-certified" in capsys.readouterr().out
+    doc = json.loads((out / "injectivity.json").read_text())
+    assert doc["verdict"] == "not-certified"
+    assert doc["sigma_min"] == pytest.approx(6.49e-4, rel=1e-2)
+
+
+def _run_module(*args):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(berezin.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "berezin", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point_exit_codes(paths):
+    cfg_path = paths["root"] / "cfg_m2.json"
+    save_config(cfg_path, default_config(lam=1.0, M=2))
+    out = paths["root"] / "out_module"
+    done = _run_module("report", "--config", str(cfg_path), "--out", str(out),
+                       "--sweep", "1..2")
+    assert done.returncode == 0, done.stderr
+    rows = json.loads((out / "injectivity.json").read_text())["sweep"]
+    assert [r["M"] for r in rows] == [1, 2]
+    bad = paths["root"] / "cfg_module_unknown.json"
+    data = json.loads(cfg_path.read_text())
+    data["mystery"] = 3
+    bad.write_text(json.dumps(data))
+    done = _run_module("verify", "--config", str(bad), "--out", str(out))
+    assert done.returncode == 2
+    assert "mystery" in done.stderr
 
 
 def test_report_under_determined(paths, capsys):

@@ -1,13 +1,14 @@
 """Truncated representation matrices, coherent states, vacuum."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from berezin import (HeisenbergElement, PhasePoint, RepresentationContext,
                      TruncationError, apply_group, basis_state, coherent_state,
                      default_config, gaussian_vector, multiply, rep_matrix)
-from berezin import schroedinger
 from berezin.schroedinger import displacement_1d
 from berezin.oracle import (PositionGrid, displacement_element,
                             gauss_hermite_matrix_element,
@@ -42,10 +43,10 @@ def test_central_elements_act_exactly(ctx):
     f = basis_state(16, 5)
     c = 0.9
     out = apply_group(ctx, HeisenbergElement([0.0], [0.0], c), f)
-    np.testing.assert_allclose(out.coeffs, np.exp(1j * ctx.cfg.lam * c) * f.coeffs,
-                               atol=0.0)
+    np.testing.assert_array_equal(out.coeffs,
+                                  np.exp(1j * ctx.cfg.lam * c) * f.coeffs)
     R = rep_matrix(ctx, HeisenbergElement([0.0], [0.0], c)).entries
-    np.testing.assert_allclose(R, np.exp(1j * ctx.cfg.lam * c) * np.eye(16), atol=0.0)
+    np.testing.assert_array_equal(R, np.exp(1j * ctx.cfg.lam * c) * np.eye(16))
     I = rep_matrix(ctx, HeisenbergElement([0.0], [0.0], 0.0)).entries
     np.testing.assert_array_equal(I, np.eye(16))
 
@@ -152,8 +153,38 @@ def test_coherent_state_beyond_box_rejected(ctx):
         coherent_state(ctx, PhasePoint([ctx.cfg.L + 1.0], [0.0]))
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_coherent_state_is_rep_matrix_column_zero(lam, n):
+    # read straight from the Bargmann columns, bit for bit the matrix column
+    cx = RepresentationContext(default_config(n=n, lam=lam, M=8))
+    ax = cx.grid.axis
+    s = 1.0 / np.sqrt(lam)
+    points = [PhasePoint(ax[[70, 50]][:n], ax[[41, 90]][:n]),   # grid points
+              PhasePoint(ax[[64, 64]][:n], ax[[77, 64]][:n]),
+              PhasePoint([0.37 * s, -1.3 * s][:n], [-0.81 * s, 0.2 * s][:n]),
+              PhasePoint([2.9 * s, 0.0][:n], [1.1 * s, -3.3 * s][:n])]
+    for x in points:
+        R = rep_matrix(cx, x.as_element()).entries
+        np.testing.assert_array_equal(coherent_state(cx, x).coeffs, R[:, 0])
+
+
+def test_coherent_state_builds_no_matrix():
+    # n = 3, M = 12: the 1728 x 1728 displacement matrix alone is 45.6 MiB
+    cx = RepresentationContext(default_config(n=3, lam=1.0, M=12))
+    x = PhasePoint([0.4, -0.7, 1.1], [0.2, 0.9, -0.5])
+    tracemalloc.start()
+    try:
+        st = coherent_state(cx, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.dim == 12 ** 3
+    assert peak < 2 ** 20
+
+
 def test_coherent_table_rows_match_direct_states(ctx):
-    # the whole-grid table vs one-at-a-time displacement matrices
+    # the whole-grid table vs one coherent state at a time
     C = ctx.coherent_table()
     G = ctx.cfg.G
     rng = np.random.default_rng(5)
@@ -164,7 +195,7 @@ def test_coherent_table_rows_match_direct_states(ctx):
         assert np.abs(np.conj(C[int(k)]) - st.coeffs).max() < 1e-12
 
 
-def test_rep_matrix_cache_consistency(ctx):
+def test_rep_matrix_repeatable(ctx):
     g = HeisenbergElement([0.5], [0.5], 0.0)
     A = rep_matrix(ctx, g).entries
     B = rep_matrix(ctx, g).entries
@@ -193,20 +224,3 @@ def test_displacement_column_zero_is_the_coherent_table(ctx):
     D = displacement_1d(ctx.cfg.lam, ax[:, None], ax[None, :], ctx.cfg.M)
     C = ctx.coherent_table().reshape(ctx.cfg.G, ctx.cfg.G, ctx.cfg.M)
     np.testing.assert_array_equal(D[:, :, :, 0], np.conj(C))
-
-
-def test_rep_cache_is_bounded_and_read_only(monkeypatch):
-    cx = RepresentationContext(default_config(lam=1.0, M=8))
-    monkeypatch.setattr(schroedinger, "_CACHE_BYTES", 3 * 8 * 8 * 16)
-    h = cx.grid.h
-    gs = [HeisenbergElement([k * h], [-2 * k * h], 0.0) for k in range(1, 7)]
-    first = [rep_matrix(cx, g).entries for g in gs]
-    assert len(cx._rep_cache) == 3
-    for mat in cx._rep_cache.values():
-        assert not mat.flags.writeable
-        with pytest.raises(ValueError):
-            mat[0, 0] = 0.0
-    # cached and uncached displacements give the same matrices on a repeat
-    for g, mat in zip(gs, first):
-        np.testing.assert_array_equal(rep_matrix(cx, g).entries, mat)
-    assert len(cx._rep_cache) == 3
