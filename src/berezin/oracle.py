@@ -4,6 +4,9 @@ Everything here exists to cross-check the fast paths and deliberately shares no
 quadrature code with them: basis functions come from scipy.special.eval_hermite
 instead of the in-package recurrence, integrals use this module's own position
 grid or Gauss-Hermite nodes, and Fourier transforms are literal dense sums.
+The covariant symbol and frame operator, which the main path interpolates
+from Gauss-Hermite node samples, are read here off the coherent table, one
+grid point per row.
 Oracles may be orders of magnitude slower by design; cost-guarded operations
 refuse oversized inputs rather than degrade.
 """
@@ -16,8 +19,9 @@ from math import factorial
 import numpy as np
 from scipy.special import eval_hermite
 
-from .core import ModelConfig
+from .core import GridFunction, ModelConfig, OperatorMatrix
 from .heisenberg import HeisenbergElement
+from .schroedinger import RepresentationContext
 
 _MAX_MODE = 64  # eval_hermite values stay inside float64 range up to here
 
@@ -155,6 +159,30 @@ def displacement_element(lam: float, a: float, b: float, c: float,
                   / (factorial(r) * factorial(j - r) * factorial(k - r)))
     pref = np.exp(1j * lam * c) * np.exp(-abs(w) ** 2 / 2.0)
     return complex(pref * np.sqrt(float(factorial(j) * factorial(k))) * total)
+
+
+def table_covariant_symbol(ctx: RepresentationContext,
+                           A: OperatorMatrix) -> GridFunction:
+    """(A phi_{x_k} | phi_{x_k}) read row by row off the coherent table.
+
+    Oracle of symbols.covariant_symbol: every grid value comes from the
+    Bargmann columns at that grid point, with no interpolation, so tail
+    values keep their relative accuracy.  Holds the (G^{2n}, M^n) table.
+    """
+    C = ctx.coherent_table()
+    V = C @ A.entries
+    np.conjugate(V, out=V)  # conj(sum V conj(C)) without copying the table
+    vals = np.einsum("km,km->k", V, C).conj()
+    return GridFunction(grid=ctx.grid, values=vals)
+
+
+def table_frame_operator(ctx: RepresentationContext) -> np.ndarray:
+    """W = density * cell_weight * C* C from the coherent table C.
+
+    Oracle of symbols.frame_operator, which never builds the table.
+    """
+    C = ctx.coherent_table()
+    return ctx.grid.density * ctx.grid.cell_weight * (C.conj().T @ C)
 
 
 def coherent_overlap_exact(lam: float, a: float, b: float) -> float:

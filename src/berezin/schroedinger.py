@@ -9,7 +9,8 @@ on one axis is D[j+d, j] = conj(C_d) ell^d_j, D[j, j+d] = (-1)^d C_d ell^d_j
 ell^d_j = sqrt(j! d!/(j+d)!) L_j^(d)(|w|^2).  The coherent state phi_x =
 pi(x) phi is column 0, conj(C_d) per axis, so coherent_state and the coherent
 table read the Bargmann columns C_d directly and build no matrix; rep_matrix
-and apply_group build their matrices per query (nothing is cached).
+builds its matrix per query (nothing is cached) and apply_group applies the
+displacement_1d factors axis by axis without building it.
 ambiguity_batch's chirp-z quadrature is the oracle of all of them.
 
 Matrix orientation: rep_matrix(g)[j, k] = (pi(g) e_k | e_j), the coefficient
@@ -34,7 +35,9 @@ from .heisenberg import HeisenbergElement, PhasePoint
 # max complex entries of the coherent table's working set: the table at n = 1
 # (nothing larger than one (G, G) slice besides it), twice the table at n > 1
 # (the outer product and its transposed copy).  Also the n > 1 coefficient
-# map's bound on its output, the output's transposed copy and its per-axis table
+# map's bound on its output, the output's transposed copy and its per-axis table,
+# and the covariant symbol's bound on its output (with its transposed copy at
+# n > 1) and on its Gauss-Hermite node stage
 _TABLE_LIMIT = 2 ** 24
 # table entries below this modulus are stored as exact zeros, so every product
 # of two entries is zero or a normal float (subnormal arithmetic is slow)
@@ -97,8 +100,9 @@ class RepresentationContext:
     """Shared, immutable-after-construction state for one configuration.
 
     Holds the phase grid and the lazily built coherent coefficient table, whose
-    columns are the Bargmann columns C_d over the grid.  No representation
-    matrix is cached.  Safe for concurrent read use.
+    columns are the Bargmann columns C_d over the grid; of the main path only
+    the symbol-map SVD reads it.  No representation matrix is cached.  Safe
+    for concurrent read use.
     """
 
     cfg: ModelConfig
@@ -241,16 +245,25 @@ def rep_matrix(ctx: RepresentationContext, g: HeisenbergElement) -> OperatorMatr
 
 def apply_group(ctx: RepresentationContext, g: HeisenbergElement,
                 f: HermiteState) -> HermiteState:
-    """pi(g) f on the truncation."""
+    """pi(g) f on the truncation, one displacement_1d factor per axis.
+
+    The state, reshaped to (M,)*n, meets each axis factor in turn, so the
+    M^n x M^n matrix of rep_matrix is never built.
+    """
     if f.dim != ctx.cfg.dim:
         raise ValueError("state dimension mismatch")
     if g.n != ctx.cfg.n:
         raise ValueError("dimension mismatch")
     ctx.check_displacement(g.a, g.b)
+    lam, M = ctx.cfg.lam, ctx.cfg.M
+    scalar = np.exp(1j * lam * g.c)
     if np.all(g.a == 0.0) and np.all(g.b == 0.0):
         # character action, exact
-        return HermiteState(np.exp(1j * ctx.cfg.lam * g.c) * f.coeffs)
-    return rep_matrix(ctx, g).apply(f)
+        return HermiteState(scalar * f.coeffs)
+    out = f.coeffs.reshape((M,) * ctx.cfg.n)
+    for x, y in zip(g.a, g.b):  # contract the first axis, append its image
+        out = np.tensordot(out, displacement_1d(lam, x, y, M), axes=([0], [1]))
+    return HermiteState(scalar * out.ravel())
 
 
 def coherent_state(ctx: RepresentationContext, x: PhasePoint) -> HermiteState:

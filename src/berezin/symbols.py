@@ -5,31 +5,105 @@ Conventions (linear in the first slot of every inner product):
                           so kernel(., y) = V phi_y and f(y) = (Vf | V phi_y).
   full_symbol(A, x, y)  = (A phi_y | phi_x)
   covariant_symbol(A)   = x -> (A phi_x | phi_x)
+
+The covariant symbol is separable and needs no coherent table.  On one axis
+pair, with w = sqrt(lam/2)(a + ib) and the Bargmann columns C_d(w) of the
+schroedinger module, S(A)(a, b) = sum_{m,j} A[m, j] C_m(w) conj(C_j(w)) is
+e^{-lam(a^2+b^2)/2} times a polynomial of degree <= 2M-2 in each of a and b:
+it lies in the span of the first N = 2M-1 Hermite functions of sqrt(lam) a
+and of sqrt(lam) b.  Its samples at the N x N Gauss-Hermite node pairs
+(Golub & Welsch 1969) fix it, and on the grid S = B S_nodes B^T, with B the
+(G, N) interpolation matrix from the nodes to sqrt(lam) * grid.axis.  At
+n > 1 phi_x is a Kronecker product over axes, so S(A) is the same Tucker
+product: one contraction of A against the (N^2, M) node table per position
+axis, one B per phase-space axis.  The interpolation rounds at the scale of
+the node values, so the error is absolute, about eps * max|S| (measured
+<= 6e-15 max|S|): values in the Gaussian tail below that are rounding noise, not the
+relatively accurate tiny values of the coherent-table route
+(oracle.table_covariant_symbol).
+
 The quadrature rule behind every integral identity is the grid measure
-density * cell_weight; its resolution-of-identity defect
-W - I = density * cell_weight * C* C - I (C the coherent coefficient table)
-is ~1e-15 on default grids (closed-form table; only the grid sum errs)
-and controls every residual below.
+density * cell_weight.  Its resolution-of-identity defect W - I, W the frame
+operator (the grid quadrature of conj(C_k)^T C_k over the grid points x_k),
+is ~1e-15 on default grids and controls every residual below.  W is
+separable too: the grid sum of S is u^T S_nodes u with u = B.sum(axis=0), so
+one axis pair gives W1 = dd1 c^H diag(vec(u u^T)) c from the node table c,
+and W is the Kronecker power of W1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
+from scipy.special import roots_hermite
 
-from .core import (GridFunction, HermiteState, OperatorMatrix, TruncationError,
-                   inner_l2, hs_inner)
+from .core import (GridFunction, HermiteState, OperatorMatrix, PhaseGrid,
+                   TruncationError, hermite_columns, hs_inner)
 from .heisenberg import HeisenbergElement, PhasePoint, project_to_phase
-from .schroedinger import (RepresentationContext, coherent_state,
-                           gaussian_vector, rep_matrix)
+from .schroedinger import (_TABLE_LIMIT, RepresentationContext,
+                           _bargmann_columns, coherent_state, gaussian_vector,
+                           rep_matrix)
 from .transforms import coefficient_map
 
 
+@lru_cache(maxsize=8)
+def _node_table(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only c[(p, q), d] = C_d((x_p + i x_q)/sqrt(2)) and conj(c).T.
+
+    x are the 2M-1 Gauss-Hermite nodes.  The node pair (p, q) is the phase
+    point (x_p, x_q)/sqrt(lam), where w = sqrt(lam/2)(a + ib) drops lambda.
+    """
+    x, _ = roots_hermite(2 * M - 1)
+    w = ((x[:, None] + 1j * x[None, :]) / np.sqrt(2.0)).ravel()
+    c = np.stack(list(_bargmann_columns(w, M)), axis=-1)
+    cbar_t = np.ascontiguousarray(c.conj().T)
+    c.flags.writeable = False
+    cbar_t.flags.writeable = False
+    return c, cbar_t
+
+
+# the verification battery alone cycles through 9 (lam, L, G, M) contexts
+@lru_cache(maxsize=16)
+def _interpolation_matrix(lam: float, L: float, G: int, M: int) -> np.ndarray:
+    """Read-only B (G, 2M-1): B[k, p] is the Hermite-function interpolant
+    through (1 at node p, 0 at the other nodes) at sqrt(lam) * axis[k].
+
+    B = E P^{-1} with E and P the first 2M-1 Hermite functions at the grid
+    and at the nodes; P is well conditioned (cond 1.6 at M = 32).  A solve,
+    not the Gauss-Hermite weights: P^T diag(weights e^{x^2}) is P^{-1} only
+    up to the weights' orthogonality defect (1e-13 at 63 nodes).
+    """
+    N = 2 * M - 1
+    x, _ = roots_hermite(N)
+    axis = PhaseGrid(n=1, lam=lam, L=L, G=G).axis
+    E = hermite_columns(np.sqrt(lam) * axis, N, 1.0)
+    P = hermite_columns(x, N, 1.0)
+    B = np.ascontiguousarray(np.linalg.solve(P.T, E.T).T)
+    B.flags.writeable = False
+    return B
+
+
+def _grid_interpolation(ctx: RepresentationContext) -> np.ndarray:
+    grid = ctx.grid
+    return _interpolation_matrix(grid.lam, grid.L, grid.G, ctx.cfg.M)
+
+
 def frame_operator(ctx: RepresentationContext) -> np.ndarray:
-    """W = density * cell_weight * C* C, the discrete resolution of identity."""
-    C = ctx.coherent_table()
-    dd = ctx.grid.density * ctx.grid.cell_weight
-    return dd * (C.conj().T @ C)
+    """W = density * cell_weight * sum_k conj(C_k)^T C_k over the grid rows C_k
+    of the coherent table, the discrete resolution of identity.
+
+    Built from the node table without the coherent table: per axis pair
+    W1 = dd1 c^H diag(vec(u u^T)) c with u = B.sum(axis=0) and
+    dd1 = lam h^2 / (2 pi), and W is the Kronecker power of W1 over the n
+    axis pairs (module docstring).
+    """
+    cfg, grid = ctx.cfg, ctx.grid
+    c, cbar_t = _node_table(cfg.M)
+    u = _grid_interpolation(ctx).sum(axis=0)
+    dd1 = grid.lam * grid.h ** 2 / (2.0 * np.pi)
+    W1 = (cbar_t * (dd1 * np.outer(u, u).ravel())) @ c
+    return reduce(np.kron, [W1] * cfg.n)
 
 
 def kernel(ctx: RepresentationContext, x: PhasePoint, y: PhasePoint) -> complex:
@@ -77,27 +151,54 @@ def reconstruct(ctx: RepresentationContext, A: OperatorMatrix,
                 f: HermiteState, x: PhasePoint) -> complex:
     """Quadrature of (Af)(x) = int full_symbol(A, x, y) (Vf)(y) dmu(y).
 
-    Agrees with the direct matrix action (V(Af))(x) up to the resolution
-    defect ||W - I|| ~ 1e-15 times ||A|| ||f||.
+    The grid quadrature over y turns f into W f, W the frame operator, so
+    the value is (A W f | phi_x) and no coherent table is read.  Agrees with
+    the direct matrix action (V(Af))(x) up to the resolution defect
+    ||W - I|| ~ 1e-15 times ||A|| ||f||.
     """
     if A.dim != ctx.cfg.dim or f.dim != ctx.cfg.dim:
         raise ValueError("dimension mismatch")
-    C = ctx.coherent_table()
     cx = coherent_state(ctx, x).coeffs
-    dd = ctx.grid.density * ctx.grid.cell_weight
-    smoothed = dd * (C.conj().T @ (C @ f.coeffs))  # = W f
+    smoothed = frame_operator(ctx) @ f.coeffs
     return complex(np.vdot(cx, A.entries @ smoothed))
 
 
 def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunction:
-    """values_k = (A phi_{x_k} | phi_{x_k}) over the whole grid."""
-    if A.dim != ctx.cfg.dim:
+    """values_k = (A phi_{x_k} | phi_{x_k}) over the whole grid, any n.
+
+    Separable and table-free (module docstring).  Node stage: A, one axis
+    (m_k, j_k) at a time, meets the node table c on its row index and conj(c)
+    on its column index, giving S at the (2M-1)^{2n} node points.  Expansion:
+    the interpolation matrix B on each of the 2n axes, then one transpose into
+    grid order (a_1..a_n, b_1..b_n).  Absolute error about eps * max|S|.
+    The working set is refused before anything is computed when over the size
+    guard: at n > 1 the output and its transposed copy, 2 G^{2n} complex
+    entries (G^{2n} at n = 1), and the last node step, M (2M-1)^{2n} entries
+    and the same again for its product with conj(c).
+    """
+    cfg, grid = ctx.cfg, ctx.grid
+    if A.dim != cfg.dim:
         raise ValueError("operator dimension mismatch")
-    C = ctx.coherent_table()
-    V = C @ A.entries
-    np.conjugate(V, out=V)  # conj(sum V conj(C)) without copying the table
-    vals = np.einsum("km,km->k", V, C).conj()
-    return GridFunction(grid=ctx.grid, values=vals)
+    n, M = cfg.n, cfg.M
+    N = 2 * M - 1
+    need = max(grid.num_points if n == 1 else 2 * grid.num_points,
+               2 * M * N ** (2 * n))
+    if need > _TABLE_LIMIT:
+        raise MemoryError("covariant symbol on %d grid points needs %d complex "
+                          "entries, over the size guard of %d; reduce G or M"
+                          % (grid.num_points, need, _TABLE_LIMIT))
+    c, cbar_t = _node_table(M)
+    S = A.entries.reshape((M,) * (2 * n))
+    for k in range(n):  # axes (m_k.., j_k.., node pairs 1..k-1)
+        S = np.tensordot(S, c, axes=([0], [1]))  # m_k -> node pair k, last
+        S = np.moveaxis(S, n - 1 - k, -2)  # j_k beside it
+        S = (S * cbar_t).sum(axis=-2)
+    S = S.reshape((N,) * (2 * n))  # node axes (a_1 b_1 a_2 b_2 ...)
+    B = _grid_interpolation(ctx)
+    for _ in range(2 * n):  # first axis to grid, appended last
+        S = np.tensordot(S, B, axes=([0], [1]))
+    S = S.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    return GridFunction(grid=grid, values=S)
 
 
 def trace_identity_residual(ctx: RepresentationContext, A: OperatorMatrix) -> float:
@@ -111,8 +212,8 @@ def hs_identity_residual(ctx: RepresentationContext, A: OperatorMatrix) -> float
     """|hs_inner(A, A) - double quadrature of |full_symbol|^2 over mu x mu|.
 
     The double sum collapses: sum_{k,l} |C_k A C_l*|^2 (dd)^2 = Tr(W A W A*),
-    one W per quadrature variable, so the evaluation is O(G^{2n} M^{2n})
-    instead of O(G^{4n}).
+    one W per quadrature variable, and W comes from the node table
+    (frame_operator), so no grid sum is taken at all.
     """
     W = frame_operator(ctx)
     quad = np.trace(W @ A.entries @ W @ A.entries.conj().T)
@@ -182,9 +283,9 @@ def build_symbol_map(ctx: RepresentationContext) -> SymbolMapMatrix:
         raise MemoryError("symbol map matrix would exceed the size guard; "
                           "reduce M or G")
     C = ctx.coherent_table()
-    w = np.sqrt(grid.density * grid.cell_weight)
-    entries = w * np.einsum("ki,kj->kij", C, C.conj()).reshape(
+    entries = np.einsum("ki,kj->kij", C, C.conj()).reshape(
         grid.num_points, dim * dim)
+    entries *= np.sqrt(grid.density * grid.cell_weight)
     sv = np.linalg.svd(entries, compute_uv=False)
     return SymbolMapMatrix(entries=entries, singular_values=sv)
 

@@ -275,22 +275,29 @@ def test_verify_deterministic(paths):
     assert b1 == b2  # byte-identical residuals, not just approximate reruns
 
 
-def test_symbol_n2_beyond_table_guard_exits_2(paths, capsys):
-    # the table has G^4 M^2 = 8433216 entries, under 2^24, but its outer
-    # product and transposed copy need 16866432, just over; G = 20 (M = 6)
-    # would need 11520000, under.  Refused before anything is allocated.
-    cfg = ModelConfig(n=2, lam=1.0, M=6, L=7.0, G=22, tol_identity=1e-6,
-                      tol_quadrature=1e-5)
-    cfg_path = paths["root"] / "n2_table.json"
-    save_config(cfg_path, cfg)
+def test_symbol_n2_beyond_symbol_guard_exits_2(paths, capsys):
+    # the symbol builds no coherent table, so M = 6, G = 22 (a table whose
+    # outer product and transposed copy need 16866432 > 2^24 entries) is
+    # served; its own bound is the output and its transposed copy,
+    # 2 * 54^4 = 17006112 > 2^24 at G = 54, refused before anything is built
     op_path = paths["root"] / "n2_identity.csv"
-    write_operator_csv(op_path, np.eye(cfg.dim, dtype=complex))
-    code = main(["symbol", "--config", str(cfg_path), "--operator",
-                 str(op_path), "--out", str(paths["root"] / "out_table")])
-    assert code == 2
+    write_operator_csv(op_path, np.eye(36, dtype=complex))
+    codes = {}
+    for G in (22, 54):
+        cfg = ModelConfig(n=2, lam=1.0, M=6, L=7.0, G=G, tol_identity=1e-6,
+                          tol_quadrature=1e-5)
+        cfg_path = paths["root"] / ("n2_G%d.json" % G)
+        save_config(cfg_path, cfg)
+        codes[G] = main(["symbol", "--config", str(cfg_path), "--operator",
+                         str(op_path),
+                         "--out", str(paths["root"] / ("out_n2_G%d" % G))])
+    assert codes == {22: 0, 54: 2}
     err = capsys.readouterr().err
-    assert "8433216 complex entries needs 16866432" in err
+    assert "8503056 grid points needs 17006112" in err
     assert "size guard of 16777216" in err
+    _, vals = read_grid_csv(paths["root"] / "out_n2_G22" / "berezin_symbol.csv")
+    assert vals.size == 22 ** 4 and vals.real.max() < 1.0 + 1e-12
+
 
 
 def test_missing_config_file(paths, capsys):

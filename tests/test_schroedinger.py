@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from berezin import (HeisenbergElement, PhasePoint, RepresentationContext,
-                     TruncationError, apply_group, basis_state, coherent_state,
-                     default_config, gaussian_vector, multiply, rep_matrix)
+from berezin import (HeisenbergElement, HermiteState, PhasePoint,
+                     RepresentationContext, TruncationError, apply_group,
+                     basis_state, coherent_state, default_config,
+                     gaussian_vector, multiply, rep_matrix)
 from berezin.schroedinger import displacement_1d
 from berezin.oracle import (PositionGrid, displacement_element,
                             gauss_hermite_matrix_element,
@@ -180,6 +181,36 @@ def test_coherent_state_builds_no_matrix():
     finally:
         tracemalloc.stop()
     assert st.dim == 12 ** 3
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("n, M", [(1, 16), (2, 6), (3, 4)])
+def test_apply_group_matches_rep_matrix(n, M):
+    cx = RepresentationContext(default_config(n=n, lam=1.0, M=M))
+    rng = np.random.default_rng(7 + n)
+    v = rng.standard_normal(M ** n) + 1j * rng.standard_normal(M ** n)
+    f = HermiteState(v / np.linalg.norm(v))
+    for _ in range(3):
+        a, b = rng.uniform(-1.5, 1.5, size=(2, n))
+        g = HeisenbergElement(a, b, rng.uniform(-1.0, 1.0))
+        np.testing.assert_allclose(apply_group(cx, g, f).coeffs,
+                                   rep_matrix(cx, g).apply(f).coeffs,
+                                   rtol=0, atol=1e-13)
+
+
+def test_apply_group_builds_no_matrix():
+    # n = 3, M = 12: rep_matrix would hold a 45.6 MiB matrix (94 MiB peak)
+    cx = RepresentationContext(default_config(n=3, lam=1.0, M=12))
+    rng = np.random.default_rng(12)
+    f = HermiteState(rng.standard_normal(12 ** 3) + 0j)
+    g = HeisenbergElement([0.4, -0.7, 1.1], [0.2, 0.9, -0.5], 0.3)
+    tracemalloc.start()
+    try:
+        out = apply_group(cx, g, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dim == 12 ** 3
     assert peak < 2 ** 20
 
 

@@ -12,8 +12,11 @@ from berezin import (HeisenbergElement, OperatorMatrix, PhasePoint,
                      hs_inner, identity_operator, injectivity_report,
                      inner_l2, kernel, onb_expansion_check, rank_one,
                      reconstruct, trace_identity_residual)
+from berezin import symbols
 from berezin.core import GridFunction, ModelConfig
-from berezin.oracle import analytic_singular_values
+from berezin.oracle import (analytic_singular_values, table_covariant_symbol,
+                            table_frame_operator)
+from berezin.symbols import frame_operator
 
 
 @pytest.fixture(scope="module")
@@ -331,11 +334,125 @@ def test_injectivity_report_m4_regression():
     assert rep["cond"] == pytest.approx(rep["sigma_max"] / rep["sigma_min"])
 
 
-def test_covariant_symbol_leaves_table_untouched(ctx8):
-    C = ctx8.coherent_table()
-    before = C.copy()
+def test_covariant_symbol_leaves_table_untouched():
+    # the symbol never builds the coherent table; against the table oracle
+    # the difference is absolute rounding, measured 1.2e-15 * max|S| here
+    cx = RepresentationContext(default_config(lam=1.0, M=8))
     A = _random_operator(np.random.default_rng(4), 8)
-    vals = covariant_symbol(ctx8, A).values
-    np.testing.assert_array_equal(C, before)
-    ref = np.einsum("km,km->k", C @ A.entries, C.conj())
-    np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-15)
+    vals = covariant_symbol(cx, A).values
+    assert cx._coherent_table is None
+    ref = table_covariant_symbol(cx, A).values
+    assert np.abs(vals - ref).max() < 5e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("M, G", [(8, 128), (16, 128), (32, 256)])
+def test_covariant_symbol_matches_table_oracle(lam, M, G):
+    # measured at most 6.0e-15 * max|S| over these nine contexts
+    cx = RepresentationContext(default_config(lam=lam, M=M, G=G))
+    A = _random_operator(np.random.default_rng(M + G), M)
+    vals = covariant_symbol(cx, A).values
+    ref = table_covariant_symbol(cx, A).values
+    assert np.abs(vals - ref).max() < 2e-14 * np.abs(ref).max()
+    W = frame_operator(cx)
+    assert np.abs(W - table_frame_operator(cx)).max() < 1e-14
+    assert np.abs(W - np.eye(M)).max() < 1e-14
+
+
+def test_covariant_symbol_n2_matches_table_oracle():
+    cx = RepresentationContext(default_config(n=2, lam=1.0, M=3, G=24))
+    A = _random_operator(np.random.default_rng(13), 9)
+    vals = covariant_symbol(cx, A).values
+    assert cx._coherent_table is None
+    ref = table_covariant_symbol(cx, A).values
+    assert np.abs(vals - ref).max() < 1e-14 * np.abs(ref).max()  # 6.0e-16
+    assert np.abs(frame_operator(cx) - table_frame_operator(cx)).max() < 1e-14
+
+
+@pytest.fixture(scope="module")
+def ctx_n2():
+    # G^4 M^2 = 64e6 table entries: beyond the table's size guard
+    return RepresentationContext(default_config(n=2, lam=1.0, M=5, G=40))
+
+
+def test_covariant_symbol_n2_product_identity(ctx_n2):
+    # S(A1 (x) A2)(a1, a2, b1, b2) = S(A1)(a1, b1) S(A2)(a2, b2)
+    rng = np.random.default_rng(14)
+    A1, A2 = _random_operator(rng, 5), _random_operator(rng, 5)
+    vals = covariant_symbol(
+        ctx_n2, OperatorMatrix(np.kron(A1.entries, A2.entries))).reshape()
+    c1 = RepresentationContext(default_config(n=1, lam=1.0, M=5, G=40))
+    S1 = covariant_symbol(c1, A1).reshape()
+    S2 = covariant_symbol(c1, A2).reshape()
+    prod = np.einsum("ac,bd->abcd", S1, S2)
+    assert np.abs(vals - prod).max() < 1e-14 * np.abs(prod).max()
+    assert ctx_n2._coherent_table is None
+
+
+def test_trace_identity_n2(ctx_n2):
+    rng = np.random.default_rng(15)
+    for _ in range(2):
+        A = _random_operator(rng, 25)
+        tr_norm = np.sum(np.linalg.svd(A.entries, compute_uv=False))
+        assert trace_identity_residual(ctx_n2, A) < 1e-14 * tr_norm  # 4e-16
+    assert np.abs(frame_operator(ctx_n2) - np.eye(25)).max() < 1e-12  # 3.1e-14
+    assert ctx_n2._coherent_table is None
+
+
+def test_covariant_symbol_against_mpmath():
+    # 60-digit sum_{m,j} A[m,j] C_m(w) conj(C_j(w)) at bulk grid points
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    M, lam = 16, 0.5
+    cx = RepresentationContext(default_config(lam=lam, M=M))
+    A = _random_operator(np.random.default_rng(16), M)
+    vals = covariant_symbol(cx, A).reshape()
+    scale = np.abs(vals).max()
+    ax = cx.grid.axis
+    for ia, ib in [(64, 64), (70, 55), (40, 90), (100, 30)]:
+        w = mp.sqrt(mp.mpf(lam) / 2) * mp.mpc(ax[ia], ax[ib])
+        col = [mp.exp(-abs(w) ** 2 / 2) * w ** d / mp.sqrt(mp.factorial(d))
+               for d in range(M)]
+        exact = mp.fsum(mp.mpc(A.entries[m, j]) * col[m] * mp.conj(col[j])
+                        for m in range(M) for j in range(M))
+        assert abs(complex(exact) - vals[ia, ib]) < 1e-14 * scale  # 2.0e-16
+
+
+def test_frame_operator_and_reconstruct_build_no_table():
+    cx = RepresentationContext(default_config(lam=1.0, M=8))
+    vac = gaussian_vector(cx.cfg)
+    assert reconstruct(cx, identity_operator(8), vac,
+                       PhasePoint([0.0], [0.0])) == pytest.approx(1.0, abs=1e-14)
+    assert hs_identity_residual(cx, identity_operator(8)) < 1e-13
+    assert np.abs(frame_operator(cx) - np.eye(8)).max() < 1e-14
+    assert cx._coherent_table is None
+
+
+def test_covariant_symbol_refuses_output_over_guard(monkeypatch):
+    # n > 1 holds the output and its transposed copy: 2 G^{2n} entries
+    cx = RepresentationContext(default_config(n=2, lam=1.0, M=3, G=24))
+    monkeypatch.setattr(symbols, "_TABLE_LIMIT", 2 * 24 ** 4 - 1)
+    with pytest.raises(MemoryError, match="331776 grid points needs 663552"):
+        covariant_symbol(cx, identity_operator(9))
+    monkeypatch.setattr(symbols, "_TABLE_LIMIT", 2 * 24 ** 4)
+    assert covariant_symbol(cx, identity_operator(9)).values.size == 24 ** 4
+
+
+def test_covariant_symbol_refuses_node_stage_over_guard():
+    # a small grid but a large M: the last node step holds M (2M-1)^4
+    # entries, 2 * 24 * 47^4 = 234224688 with its product, over 2^24
+    cx = RepresentationContext(ModelConfig(n=2, lam=1.0, M=24, L=28.0, G=16,
+                                           tol_quadrature=0.9))
+    with pytest.raises(MemoryError, match="needs 234224688 .* guard of 16777216"):
+        covariant_symbol(cx, identity_operator(24 ** 2))
+
+
+def test_symbol_caches_are_bounded_and_read_only(ctx8):
+    covariant_symbol(ctx8, identity_operator(8))
+    c, cbar_t = symbols._node_table(8)
+    B = symbols._grid_interpolation(ctx8)
+    assert c.shape == (15 * 15, 8) and B.shape == (128, 15)
+    for arr in (c, cbar_t, B):
+        assert not arr.flags.writeable
+    # the battery cycles through 9 contexts; a smaller cache misses every call
+    assert symbols._interpolation_matrix.cache_info().maxsize >= 9
