@@ -17,8 +17,8 @@ from .heisenberg import (HeisenbergElement, OrbitPoint, PhasePoint, base_point,
 from .io import load_config, save_config
 from .schroedinger import (RepresentationContext, apply_group, coherent_state,
                            gaussian_vector, rep_matrix)
-from .symbols import (SymbolMapMatrix, analysis, build_symbol_map,
-                      covariance_residual, covariant_symbol, full_symbol,
+from .symbols import (analysis, build_symbol_map, covariance_residual,
+                      covariant_symbol, full_symbol,
                       hs_identity_residual, injectivity_report, kernel,
                       onb_expansion_check, reconstruct,
                       trace_identity_residual)
@@ -44,7 +44,7 @@ __all__ = [
     "inverse_fourier_orbit", "coefficient_map", "wigner", "moyal_residual",
     "kernel", "analysis", "full_symbol", "onb_expansion_check", "reconstruct",
     "covariant_symbol", "trace_identity_residual", "hs_identity_residual",
-    "covariance_residual", "SymbolMapMatrix", "build_symbol_map",
+    "covariance_residual", "build_symbol_map",
     "injectivity_report",
     "run_verification", "VerificationReport", "CheckResult",
     "load_config", "save_config",

@@ -36,7 +36,8 @@ def config_from_dict(data) -> ModelConfig:
 
     def integer(key):
         v = data[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or (isinstance(v, float) and not v.is_integer())):
             raise ConfigError("config key %r must be an integer" % key)
         return int(v)
 

@@ -4,9 +4,9 @@ Everything here exists to cross-check the fast paths and deliberately shares no
 quadrature code with them: basis functions come from scipy.special.eval_hermite
 instead of the in-package recurrence, integrals use this module's own position
 grid or Gauss-Hermite nodes, and Fourier transforms are literal dense sums.
-The covariant symbol and frame operator, which the main path interpolates
-from Gauss-Hermite node samples, are read here off the coherent table, one
-grid point per row.
+The covariant symbol, frame operator and symbol-map SVD, which the main path
+takes from Gauss-Hermite node samples, are read here off the coherent table,
+one grid point per row.
 Oracles may be orders of magnitude slower by design; cost-guarded operations
 refuse oversized inputs rather than degrade.
 """
@@ -183,6 +183,20 @@ def table_frame_operator(ctx: RepresentationContext) -> np.ndarray:
     """
     C = ctx.coherent_table()
     return ctx.grid.density * ctx.grid.cell_weight * (C.conj().T @ C)
+
+
+def table_symbol_map(ctx: RepresentationContext) -> tuple[np.ndarray, np.ndarray]:
+    """(G^{2n}, M^{2n}) symbol map off the coherent table and its singular
+    values: column (i * dim + j) is sqrt(density * cell_weight) S(e_i (x) e_j*)
+    over the grid.  Oracle of symbols.build_symbol_map; up to 2^26 entries.
+    """
+    grid, dim = ctx.grid, ctx.cfg.dim
+    if grid.num_points * dim * dim > 2 ** 26:
+        raise MemoryError("symbol map matrix over the size guard; reduce M or G")
+    C = ctx.coherent_table()
+    entries = np.einsum("ki,kj->kij", C, C.conj()).reshape(C.shape[0], -1)
+    entries *= np.sqrt(grid.density * grid.cell_weight)
+    return entries, np.linalg.svd(entries, compute_uv=False)
 
 
 def coherent_overlap_exact(lam: float, a: float, b: float) -> float:

@@ -19,7 +19,6 @@ matrix products compose like operator products.
 """
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -32,12 +31,10 @@ from .core import (ModelConfig, HermiteState, OperatorMatrix, PhaseGrid,
                    position_quadrature)
 from .heisenberg import HeisenbergElement, PhasePoint
 
-# max complex entries of the coherent table's working set: the table at n = 1
-# (nothing larger than one (G, G) slice besides it), twice the table at n > 1
-# (the outer product and its transposed copy).  Also the n > 1 coefficient
-# map's bound on its output, the output's transposed copy and its per-axis table,
-# and the covariant symbol's bound on its output (with its transposed copy at
-# n > 1) and on its Gauss-Hermite node stage
+# max complex entries of a working set: the coherent table's (the table at
+# n = 1, twice it at n > 1 for the outer product and its transposed copy), the
+# n > 1 coefficient map's (output, transposed copy, per-axis table) and the
+# covariant symbol's (output, transposed copy at n > 1, node stage)
 _TABLE_LIMIT = 2 ** 24
 # table entries below this modulus are stored as exact zeros, so every product
 # of two entries is zero or a normal float (subnormal arithmetic is slow)
@@ -99,16 +96,13 @@ def displacement_1d(lam: float, a, b, M: int) -> np.ndarray:
 class RepresentationContext:
     """Shared, immutable-after-construction state for one configuration.
 
-    Holds the phase grid and the lazily built coherent coefficient table, whose
-    columns are the Bargmann columns C_d over the grid; of the main path only
-    the symbol-map SVD reads it.  No representation matrix is cached.  Safe
-    for concurrent read use.
+    Holds the config and its phase grid and caches nothing.  coherent_table
+    builds the coherent coefficient table (the Bargmann columns C_d over the
+    grid) on each call, for the oracles and tests; no main-path route reads it.
     """
 
     cfg: ModelConfig
     grid: PhaseGrid = field(init=False)
-    _lock: threading.Lock = field(init=False, default_factory=threading.Lock)
-    _coherent_table: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.grid = build_grid(self.cfg)
@@ -124,18 +118,6 @@ class RepresentationContext:
 
     # -- coherent coefficient table ------------------------------------------
 
-    def coherent_table(self) -> np.ndarray:
-        """C[k, m] = (e_m | pi(x_k) phi) over all grid points (lazy, cached).
-
-        Row k is the analysis transform of the basis at grid point x_k; the
-        coefficient vector of the coherent state phi_{x_k} is conj(C[k, :]).
-        """
-        if self._coherent_table is None:
-            with self._lock:
-                if self._coherent_table is None:
-                    self._coherent_table = self._build_coherent_table()
-        return self._coherent_table
-
     def coherent_columns(self) -> Iterator[np.ndarray]:
         """Columns m = 0..M-1 of the 1-axis coherent table, one (G*G,) array each.
 
@@ -148,7 +130,12 @@ class RepresentationContext:
              * (ax[:, None] + 1j * ax[None, :])).ravel()
         yield from _bargmann_columns(w, self.cfg.M)
 
-    def _build_coherent_table(self) -> np.ndarray:
+    def coherent_table(self) -> np.ndarray:
+        """C[k, m] = (e_m | pi(x_k) phi) over all grid points, built per call.
+
+        Row k is the analysis transform of the basis at grid point x_k; the
+        coefficient vector of the coherent state phi_{x_k} is conj(C[k, :]).
+        """
         G, M, n = self.cfg.G, self.cfg.M, self.cfg.n
         table = self.grid.num_points * self.cfg.dim
         # n > 1 holds the outer product and its transposed copy at once

@@ -32,7 +32,6 @@ and W is the Kronecker power of W1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -45,6 +44,8 @@ from .schroedinger import (_TABLE_LIMIT, RepresentationContext,
                            _bargmann_columns, coherent_state, gaussian_vector,
                            rep_matrix)
 from .transforms import coefficient_map
+
+_SVD_LIMIT = 2 ** 26  # max complex entries of the symbol-map SVD's working set
 
 
 @lru_cache(maxsize=8)
@@ -259,35 +260,35 @@ def covariance_residual(ctx: RepresentationContext, A: OperatorMatrix,
     return float(np.abs(diff).max())
 
 
-@dataclass
-class SymbolMapMatrix:
-    """Matrix of the symbol map on matrix units, with its singular values.
+def build_symbol_map(ctx: RepresentationContext) -> np.ndarray:
+    """Descending singular values of the symbol map on matrix units.
 
-    Row k, column (i * dim + j) holds sqrt(density * cell_weight) times
-    S(e_i (x) e_j*)(x_k), so column ell-2 norms equal L2(mu) norms and the
-    singular values are those of S against the discrete L2(mu) pairing.
+    Column (i, j) is sqrt(density * cell_weight) S(e_i (x) e_j*) on the grid
+    (oracle.table_symbol_map); on one axis pair it is sqrt(dd1) (B (x) B) f_ij,
+    f_ij = c[:, i] conj(c[:, j]), so with B = Q R the (K^2, M^2) matrix
+    sqrt(dd1) (R (x) R) F, K = min(G, 2M-1), has the same singular values.
+    At n > 1 the map is the n-fold Kronecker power of that one, up to order.
     """
-
-    entries: np.ndarray
-    singular_values: np.ndarray
-
-
-def build_symbol_map(ctx: RepresentationContext) -> SymbolMapMatrix:
     cfg, grid = ctx.cfg, ctx.grid
-    dim = cfg.dim
+    dim, n, M = cfg.dim, cfg.n, cfg.M
     if dim * dim > grid.num_points:
         raise ValueError(
             "under-determined configuration: (M^n)^2 = %d columns exceed %d "
             "grid points" % (dim * dim, grid.num_points))
-    if grid.num_points * dim * dim > 2 ** 26:
-        raise MemoryError("symbol map matrix would exceed the size guard; "
-                          "reduce M or G")
-    C = ctx.coherent_table()
-    entries = np.einsum("ki,kj->kij", C, C.conj()).reshape(
-        grid.num_points, dim * dim)
-    entries *= np.sqrt(grid.density * grid.cell_weight)
-    sv = np.linalg.svd(entries, compute_uv=False)
-    return SymbolMapMatrix(entries=entries, singular_values=sv)
+    N = 2 * M - 1
+    K = min(grid.G, N)
+    # F, its two products with R, LAPACK's copy; the sv products, sorted
+    need = (N * N + K * N + 2 * K * K) * M * M + 2 * dim * dim
+    if need > _SVD_LIMIT:
+        raise MemoryError("symbol map SVD needs %d complex entries, over the "
+                          "size guard of %d; reduce M or G" % (need, _SVD_LIMIT))
+    c, cbar_t = _node_table(M)
+    F = (c[:, :, None] * cbar_t.T[:, None, :]).reshape(N, N * M * M)
+    R = np.linalg.qr(_grid_interpolation(ctx), mode="r")
+    F = R @ (R @ F).reshape(K, N, M * M)  # R on node axis a, then on b
+    dd1 = grid.lam * grid.h ** 2 / (2.0 * np.pi)
+    sv = np.sqrt(dd1) * np.linalg.svd(F.reshape(K * K, M * M), compute_uv=False)
+    return np.sort(reduce(np.multiply.outer, [sv] * n), axis=None)[::-1]
 
 
 def injectivity_report(ctx: RepresentationContext) -> dict:
@@ -297,7 +298,7 @@ def injectivity_report(ctx: RepresentationContext) -> dict:
     by two orders: sigma_min > 100 * tol_quadrature.
     """
     cfg, grid = ctx.cfg, ctx.grid
-    sv = build_symbol_map(ctx).singular_values
+    sv = build_symbol_map(ctx)
     sigma_min, sigma_max = float(sv[-1]), float(sv[0])
     verdict = ("injective-at-truncation"
                if sigma_min > 100.0 * cfg.tol_quadrature else "not-certified")

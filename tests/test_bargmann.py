@@ -78,14 +78,14 @@ def test_table_columns_are_the_streamed_columns():
     np.testing.assert_array_equal(ctx.coherent_table(), cols)
 
 
-def test_coefficient_map_needs_no_table(monkeypatch):
+def test_coefficient_map_needs_no_table(monkeypatch, no_table):
     # a config whose table the size guard refuses still gets its map
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 0)
     ctx = _ctx(1.0, 16, 64)
     rng = np.random.default_rng(3)
     f, phi = _random_coeffs(rng, 16), _random_coeffs(rng, 16)
-    got = coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
-    assert ctx._coherent_table is None
+    with no_table():
+        got = coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
     with pytest.raises(MemoryError):
         ctx.coherent_table()
     ref = _quadrature_map(ctx, f, phi)

@@ -202,6 +202,33 @@ def test_report_sweep(paths, capsys):
         "sigma_min_M1", "sigma_min_M2", "sigma_min_M3", "sigma_min_M4"}
 
 
+def test_report_sweep_builds_no_table(paths, capsys, no_table):
+    out = paths["root"] / "out_sweep_no_table"
+    with no_table():
+        rc = main(["report", "--sweep", "1..4", "--config",
+                   str(paths["cfg_path"]), "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    rows = json.loads((out / "injectivity.json").read_text())["sweep"]
+    assert [r["M"] for r in rows] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("key", ["n", "M", "G"])
+@pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_non_finite_integer_config_value_exits_2(paths, capsys, key, raw):
+    # json reads all four as non-finite floats (1e400 overflows to inf)
+    text = json.dumps(json.loads(paths["cfg_path"].read_text()))
+    text = text.replace('"%s": %d' % (key, getattr(paths["cfg"], key)),
+                        '"%s": %s' % (key, raw))
+    assert raw in text
+    cfg_path = paths["root"] / "cfg_nonfinite.json"
+    cfg_path.write_text(text)
+    rc = main(["report", "--config", str(cfg_path),
+               "--out", str(paths["root"] / "out_nonfinite")])
+    assert rc == 2
+    assert "config key '%s' must be an integer" % key in capsys.readouterr().err
+
+
 def test_report_not_certified_exits_0(paths, capsys):
     # sigma_min = 6.49e-4 at M = 8 misses the 100 * tol_quadrature = 1e-3
     # verdict threshold; the exit code does not depend on the verdict

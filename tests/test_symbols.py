@@ -1,6 +1,8 @@
 """Kernel, symbols, trace/HS identities, covariance, injectivity map."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,11 @@ from berezin import (HeisenbergElement, OperatorMatrix, PhasePoint,
                      full_symbol, gaussian_vector, hs_identity_residual,
                      hs_inner, identity_operator, injectivity_report,
                      inner_l2, kernel, onb_expansion_check, rank_one,
-                     reconstruct, trace_identity_residual)
+                     reconstruct, run_verification, trace_identity_residual)
 from berezin import symbols
 from berezin.core import GridFunction, ModelConfig
 from berezin.oracle import (analytic_singular_values, table_covariant_symbol,
-                            table_frame_operator)
+                            table_frame_operator, table_symbol_map)
 from berezin.symbols import frame_operator
 
 
@@ -279,19 +281,19 @@ def test_covariance_rejects_oversized_displacement(ctx):
 def test_symbol_map_singular_values_match_analytic():
     for M in (1, 2, 3, 4):
         cx = RepresentationContext(default_config(lam=1.0, M=M))
-        sv = build_symbol_map(cx).singular_values
+        sv = build_symbol_map(cx)
         np.testing.assert_allclose(sv, analytic_singular_values(M), atol=1e-9)
 
 
 def test_symbol_map_column_norms_match_symbol_norms(ctx8):
     # column (i,j) of the map is the weighted symbol of e_i (x) e_j*
-    sm = build_symbol_map(ctx8)
+    entries, _ = table_symbol_map(ctx8)
     rng = np.random.default_rng(11)
     for _ in range(4):
         i, j = rng.integers(0, 8, size=2)
         unit = rank_one(basis_state(8, int(i)), basis_state(8, int(j)))
         sym = covariant_symbol(ctx8, unit)
-        col = sm.entries[:, int(i) * 8 + int(j)]
+        col = entries[:, int(i) * 8 + int(j)]
         assert np.linalg.norm(col) == pytest.approx(sym.norm(), abs=1e-12)
 
 
@@ -299,15 +301,14 @@ def test_symbol_map_monotone_sigma_min():
     sigmas = []
     for M in (1, 2, 3, 4):
         cx = RepresentationContext(default_config(lam=1.0, M=M))
-        sigmas.append(build_symbol_map(cx).singular_values[-1])
+        sigmas.append(build_symbol_map(cx)[-1])
     assert all(s1 > s2 for s1, s2 in zip(sigmas, sigmas[1:]))
 
 
 def test_symbol_map_deterministic():
     cx = RepresentationContext(default_config(lam=1.0, M=3))
-    sv1 = build_symbol_map(cx).singular_values
-    sv2 = build_symbol_map(RepresentationContext(
-        default_config(lam=1.0, M=3))).singular_values
+    sv1 = build_symbol_map(cx)
+    sv2 = build_symbol_map(RepresentationContext(default_config(lam=1.0, M=3)))
     np.testing.assert_array_equal(sv1, sv2)
 
 
@@ -316,6 +317,127 @@ def test_symbol_map_under_determined():
                       tol_identity=1e-6, tol_quadrature=1e-5)
     with pytest.raises(ValueError, match="under-determined"):
         build_symbol_map(RepresentationContext(cfg))
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 8, 16])
+def test_symbol_map_matches_table_oracle(lam, M):
+    # measured <= 5.6e-15 absolute and <= 7.6e-11 relative at sigma_min
+    # (M = 16); there the table route itself is 5.4e-11 off the 80-digit
+    # sigma_min of the grid pairing, and the node route 2.3e-11, so a tighter
+    # relative bound would test rounding, not the route
+    cx = RepresentationContext(default_config(lam=lam, M=M))
+    sv = build_symbol_map(cx)
+    _, ref = table_symbol_map(cx)
+    assert sv.shape == ref.shape == (M * M,)
+    assert np.abs(sv - ref).max() < 1e-14
+    assert abs(sv[-1] - ref[-1]) < 2e-10 * ref[-1]
+
+
+def test_symbol_map_wide_case_matches_table_oracle():
+    # G = 20 < 2M - 1 = 23: R is (G, 2M-1), the node factor has G^2 rows
+    cfg = ModelConfig(n=1, lam=1.0, M=12, L=5.0, G=20,
+                      tol_identity=1e-6, tol_quadrature=1e-2)
+    cx = RepresentationContext(cfg)
+    sv = build_symbol_map(cx)
+    _, ref = table_symbol_map(cx)
+    assert sv.shape == ref.shape == (144,)
+    assert np.abs(sv - ref).max() < 1e-14  # 1.1e-15
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_symbol_map_n2_matches_table_oracle(M):
+    # the n = 2 map is the Kronecker square of the n = 1 map, up to order
+    cx = RepresentationContext(default_config(n=2, lam=1.0, M=M, G=24))
+    sv = build_symbol_map(cx)
+    _, ref = table_symbol_map(cx)
+    assert sv.shape == ref.shape == (M ** 4,)
+    assert np.abs(sv - ref).max() < 1e-14  # 6.7e-16
+    sv1 = build_symbol_map(RepresentationContext(
+        default_config(n=1, lam=1.0, M=M, G=24)))
+    assert sv[-1] == pytest.approx(sv1[-1] ** 2, rel=1e-14)
+
+
+def test_symbol_map_sigma_min_against_exact_grid_pairing():
+    # 80-digit sigma_min of the grid pairing at M = 8: the Gram entry of
+    # columns (i,j), (k,l) is dd sum_grid conj(C_i) C_j C_k conj(C_l), a sum of
+    # products of 1-D Gaussian moments; on the square grid it vanishes unless
+    # (i - j) - (k - l) = 0 mod 4 (to e^{-lam L^2})
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 80
+    M, lam = 8, 1.0
+    cx = RepresentationContext(default_config(lam=lam, M=M))
+    s2 = mp.mpf(lam) / 2
+    ax = [mp.mpf(float(a)) for a in cx.grid.axis]
+    mom = [mp.fsum(mp.exp(-2 * s2 * a * a) * a ** r for a in ax)
+           for r in range(4 * M - 3)]
+
+    # grid_sum[p, q] = sum_grid e^{-2|w|^2} conj(w)^p w^q, w = s (a + ib)
+    grid_sum = {(p, q): s2 ** (mp.mpf(p + q) / 2) * mp.fsum(
+        mp.binomial(p, u) * mp.binomial(q, v) * (-1j) ** (p - u)
+        * 1j ** (q - v) * mom[u + v] * mom[p + q - u - v]
+        for u in range(p + 1) for v in range(q + 1))
+        for p in range(2 * M - 1) for q in range(2 * M - 1) if (p - q) % 4 == 0}
+
+    dd = mp.mpf(lam) * mp.mpf(float(cx.grid.h)) ** 2 / (2 * mp.pi)
+    f = [mp.factorial(k) for k in range(M)]
+    eigs = []
+    for r in range(4):
+        idx = [(i, j) for i in range(M) for j in range(M) if (i - j) % 4 == r]
+        gram = mp.matrix([[dd * grid_sum[i + l, j + k]
+                           / mp.sqrt(f[i] * f[j] * f[k] * f[l])
+                           for k, l in idx] for i, j in idx])
+        eigs.extend(mp.eigh(gram, eigvals_only=True))
+    exact = float(mp.sqrt(min(eigs)))
+    assert build_symbol_map(cx)[-1] == pytest.approx(exact, rel=1e-12)  # 3e-14
+
+
+def test_symbol_map_guard_counts_the_node_route(monkeypatch):
+    # (N^2 + K N + 2 K^2) M^2 + 2 M^{2n} with N = 2M-1, K = min(G, N):
+    # n = 1, M = 4: 196 * 16 + 32 = 3168; n = 2, M = 3: 100 * 9 + 162 = 1062
+    for n, M, G, need in [(1, 4, 128, 3168), (2, 3, 24, 1062)]:
+        cx = RepresentationContext(default_config(n=n, lam=1.0, M=M, G=G))
+        monkeypatch.setattr(symbols, "_SVD_LIMIT", need - 1)
+        with pytest.raises(MemoryError, match="needs %d complex entries, over "
+                           "the size guard of %d" % (need, need - 1)):
+            build_symbol_map(cx)
+        monkeypatch.setattr(symbols, "_SVD_LIMIT", need)
+        assert build_symbol_map(cx).shape == (M ** (2 * n),)
+
+
+def test_symbol_map_guard_at_g128():
+    # n = 1, G = 128: M = 45 needs 64164150 <= 2^26, M = 46 needs 70094616
+    cx = RepresentationContext(default_config(lam=1.0, M=46))
+    with pytest.raises(MemoryError, match="needs 70094616 complex entries, "
+                       "over the size guard of 67108864"):
+        build_symbol_map(cx)
+
+
+def test_symbol_map_working_set_within_the_guard_count():
+    M, G = 16, 128
+    cx = RepresentationContext(default_config(lam=1.0, M=M, G=G))
+    build_symbol_map(cx)  # warm the node table and interpolation caches
+    N = 2 * M - 1
+    need = 4 * N * N * M * M + 2 * M * M
+    tracemalloc.start()
+    try:
+        build_symbol_map(cx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured 0.75 of the count: F and both products; LAPACK's copy of the
+    # last is not traced
+    assert peak <= 16 * need
+
+
+def test_symbol_map_report_and_battery_build_no_table(no_table):
+    cx = RepresentationContext(default_config(lam=1.0, M=4))
+    with no_table():
+        sv = build_symbol_map(cx)
+        rep = injectivity_report(cx)
+        battery = run_verification(default_config(lam=1.0), seed=0)
+    assert rep["sigma_min"] == sv[-1]
+    assert battery.passed
 
 
 def test_injectivity_report_m1():
@@ -334,13 +456,13 @@ def test_injectivity_report_m4_regression():
     assert rep["cond"] == pytest.approx(rep["sigma_max"] / rep["sigma_min"])
 
 
-def test_covariant_symbol_leaves_table_untouched():
+def test_covariant_symbol_leaves_table_untouched(no_table):
     # the symbol never builds the coherent table; against the table oracle
     # the difference is absolute rounding, measured 1.2e-15 * max|S| here
     cx = RepresentationContext(default_config(lam=1.0, M=8))
     A = _random_operator(np.random.default_rng(4), 8)
-    vals = covariant_symbol(cx, A).values
-    assert cx._coherent_table is None
+    with no_table():
+        vals = covariant_symbol(cx, A).values
     ref = table_covariant_symbol(cx, A).values
     assert np.abs(vals - ref).max() < 5e-15 * np.abs(ref).max()
 
@@ -359,11 +481,11 @@ def test_covariant_symbol_matches_table_oracle(lam, M, G):
     assert np.abs(W - np.eye(M)).max() < 1e-14
 
 
-def test_covariant_symbol_n2_matches_table_oracle():
+def test_covariant_symbol_n2_matches_table_oracle(no_table):
     cx = RepresentationContext(default_config(n=2, lam=1.0, M=3, G=24))
     A = _random_operator(np.random.default_rng(13), 9)
-    vals = covariant_symbol(cx, A).values
-    assert cx._coherent_table is None
+    with no_table():
+        vals = covariant_symbol(cx, A).values
     ref = table_covariant_symbol(cx, A).values
     assert np.abs(vals - ref).max() < 1e-14 * np.abs(ref).max()  # 6.0e-16
     assert np.abs(frame_operator(cx) - table_frame_operator(cx)).max() < 1e-14
@@ -375,28 +497,29 @@ def ctx_n2():
     return RepresentationContext(default_config(n=2, lam=1.0, M=5, G=40))
 
 
-def test_covariant_symbol_n2_product_identity(ctx_n2):
+def test_covariant_symbol_n2_product_identity(ctx_n2, no_table):
     # S(A1 (x) A2)(a1, a2, b1, b2) = S(A1)(a1, b1) S(A2)(a2, b2)
     rng = np.random.default_rng(14)
     A1, A2 = _random_operator(rng, 5), _random_operator(rng, 5)
-    vals = covariant_symbol(
-        ctx_n2, OperatorMatrix(np.kron(A1.entries, A2.entries))).reshape()
     c1 = RepresentationContext(default_config(n=1, lam=1.0, M=5, G=40))
-    S1 = covariant_symbol(c1, A1).reshape()
-    S2 = covariant_symbol(c1, A2).reshape()
+    with no_table():
+        vals = covariant_symbol(
+            ctx_n2, OperatorMatrix(np.kron(A1.entries, A2.entries))).reshape()
+        S1 = covariant_symbol(c1, A1).reshape()
+        S2 = covariant_symbol(c1, A2).reshape()
     prod = np.einsum("ac,bd->abcd", S1, S2)
     assert np.abs(vals - prod).max() < 1e-14 * np.abs(prod).max()
-    assert ctx_n2._coherent_table is None
 
 
-def test_trace_identity_n2(ctx_n2):
+def test_trace_identity_n2(ctx_n2, no_table):
     rng = np.random.default_rng(15)
-    for _ in range(2):
-        A = _random_operator(rng, 25)
-        tr_norm = np.sum(np.linalg.svd(A.entries, compute_uv=False))
-        assert trace_identity_residual(ctx_n2, A) < 1e-14 * tr_norm  # 4e-16
-    assert np.abs(frame_operator(ctx_n2) - np.eye(25)).max() < 1e-12  # 3.1e-14
-    assert ctx_n2._coherent_table is None
+    with no_table():
+        for _ in range(2):
+            A = _random_operator(rng, 25)
+            tr_norm = np.sum(np.linalg.svd(A.entries, compute_uv=False))
+            assert trace_identity_residual(ctx_n2, A) < 1e-14 * tr_norm  # 4e-16
+        W = frame_operator(ctx_n2)
+    assert np.abs(W - np.eye(25)).max() < 1e-12  # 3.1e-14
 
 
 def test_covariant_symbol_against_mpmath():
@@ -418,14 +541,14 @@ def test_covariant_symbol_against_mpmath():
         assert abs(complex(exact) - vals[ia, ib]) < 1e-14 * scale  # 2.0e-16
 
 
-def test_frame_operator_and_reconstruct_build_no_table():
+def test_frame_operator_and_reconstruct_build_no_table(no_table):
     cx = RepresentationContext(default_config(lam=1.0, M=8))
     vac = gaussian_vector(cx.cfg)
-    assert reconstruct(cx, identity_operator(8), vac,
-                       PhasePoint([0.0], [0.0])) == pytest.approx(1.0, abs=1e-14)
-    assert hs_identity_residual(cx, identity_operator(8)) < 1e-13
-    assert np.abs(frame_operator(cx) - np.eye(8)).max() < 1e-14
-    assert cx._coherent_table is None
+    with no_table():
+        assert reconstruct(cx, identity_operator(8), vac, PhasePoint(
+            [0.0], [0.0])) == pytest.approx(1.0, abs=1e-14)
+        assert hs_identity_residual(cx, identity_operator(8)) < 1e-13
+        assert np.abs(frame_operator(cx) - np.eye(8)).max() < 1e-14
 
 
 def test_covariant_symbol_refuses_output_over_guard(monkeypatch):
