@@ -9,8 +9,7 @@ SVD-based injectivity certificate for the truncated symbol map.
 from .core import (ConfigError, GridFunction, HermiteState, ModelConfig,
                    OperatorMatrix, PhaseGrid, TruncationError, basis_state,
                    build_grid, default_L, default_config, hermite_columns,
-                   hs_inner, identity_operator, inner_l2, position_quadrature,
-                   rank_one)
+                   hs_inner, identity_operator, inner_l2, rank_one)
 from .heisenberg import (HeisenbergElement, OrbitPoint, PhasePoint, base_point,
                          coadjoint, identity_element, inverse, multiply,
                          orbit_preimage, project_to_phase)
@@ -34,7 +33,6 @@ __all__ = [
     "HermiteState", "OperatorMatrix", "GridFunction", "build_grid",
     "default_L", "default_config", "basis_state", "identity_operator",
     "rank_one", "inner_l2", "hs_inner", "hermite_columns",
-    "position_quadrature",
     "HeisenbergElement", "OrbitPoint", "PhasePoint", "multiply", "inverse",
     "coadjoint", "identity_element", "base_point", "orbit_preimage",
     "project_to_phase",

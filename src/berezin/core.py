@@ -21,6 +21,10 @@ class TruncationError(ValueError):
     """Requested evaluation outside the validity region of the truncation."""
 
 
+# ceilings above any size the guards admit; M ** n, G ** (2n) stay cheap
+MAX_N, MAX_M, MAX_G = 12, 4096, 65536
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Physical and numerical parameters.
@@ -42,6 +46,9 @@ class ModelConfig:
     tol_quadrature: float = 1e-5
 
     def __post_init__(self):
+        for key, ceiling in (("n", MAX_N), ("M", MAX_M), ("G", MAX_G)):
+            if getattr(self, key) > ceiling:
+                raise ConfigError("%s must not exceed %d" % (key, ceiling))
         if int(self.n) != self.n or self.n < 1:
             raise ConfigError("n must be a positive integer")
         if not (self.lam > 0 and np.isfinite(self.lam)):
@@ -57,17 +64,9 @@ class ModelConfig:
         validate_grid_resolution(self)
 
     @property
-    def h(self) -> float:
-        return 2.0 * self.L / self.G
-
-    @property
     def dim(self) -> int:
         """Dimension of the truncated state space, M**n."""
         return self.M ** self.n
-
-    @property
-    def density(self) -> float:
-        return (self.lam / (2.0 * np.pi)) ** self.n
 
 
 def default_L(lam: float, M: int) -> float:
@@ -303,19 +302,3 @@ def hermite_columns(t: np.ndarray, M: int, lam: float) -> np.ndarray:
         H[..., m] = (np.sqrt(2.0 / m) * y * H[..., m - 1]
                      - np.sqrt((m - 1) / m) * H[..., m - 2])
     return H
-
-
-def position_quadrature(cfg: ModelConfig) -> tuple[np.ndarray, float]:
-    """1D position grid (t, s) of the chirp-z oracle ambiguity_batch.
-
-    Half-width reaches the classical turning point of the top retained mode
-    plus 10 Gaussian decay lengths; the step resolves both the fastest Hermite
-    oscillation sqrt(lam(2M+1)) and the largest modulation frequency lam*L on
-    the phase grid, with margin.
-    """
-    lam, M, L = cfg.lam, cfg.M, cfg.L
-    R = np.sqrt((2 * M + 1) / lam) + 10.0 / np.sqrt(lam)
-    s_max = min(0.2 / np.sqrt(lam * (2 * M + 1)), np.pi / (5.0 * lam * L))
-    Np = int(np.ceil(2.0 * R / s_max)) | 1
-    t = np.linspace(-R, R, Np)
-    return t, float(t[1] - t[0])

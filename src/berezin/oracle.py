@@ -6,7 +6,7 @@ instead of the in-package recurrence, integrals use this module's own position
 grid or Gauss-Hermite nodes, and Fourier transforms are literal dense sums.
 The covariant symbol, frame operator and symbol-map SVD, which the main path
 takes from Gauss-Hermite node samples, are read here off the coherent table,
-one grid point per row.
+one grid point per row; the coefficient map off displacement_1d.
 Oracles may be orders of magnitude slower by design; cost-guarded operations
 refuse oversized inputs rather than degrade.
 """
@@ -19,9 +19,9 @@ from math import factorial
 import numpy as np
 from scipy.special import eval_hermite
 
-from .core import GridFunction, ModelConfig, OperatorMatrix
+from .core import GridFunction, HermiteState, ModelConfig, OperatorMatrix
 from .heisenberg import HeisenbergElement
-from .schroedinger import RepresentationContext
+from .schroedinger import RepresentationContext, displacement_1d
 
 _MAX_MODE = 64  # eval_hermite values stay inside float64 range up to here
 
@@ -197,6 +197,24 @@ def table_symbol_map(ctx: RepresentationContext) -> tuple[np.ndarray, np.ndarray
     entries = np.einsum("ki,kj->kij", C, C.conj()).reshape(C.shape[0], -1)
     entries *= np.sqrt(grid.density * grid.cell_weight)
     return entries, np.linalg.svd(entries, compute_uv=False)
+
+
+def table_coefficient_map(ctx: RepresentationContext, f: HermiteState,
+                          phi: HermiteState) -> GridFunction:
+    """(f | pi(x) phi) = sum_{m,j} f_m conj(phi_j) prod_k T[a_k, b_k, m_k, j_k],
+    T = conj(displacement_1d) at every grid point: no interpolation.  Oracle of
+    transforms.coefficient_map; holds T and twice the output, up to 2^24."""
+    n, M, G = ctx.cfg.n, ctx.cfg.M, ctx.cfg.G
+    if 2 * G ** (2 * n) + G * G * M * M > 2 ** 24:
+        raise MemoryError("table coefficient map over the size guard")
+    ax = ctx.grid.axis
+    T = np.conj(displacement_1d(ctx.cfg.lam, ax[:, None], ax[None, :], M))
+    X = np.multiply.outer(f.coeffs.reshape((M,) * n),
+                          np.conj(phi.coeffs).reshape((M,) * n))
+    for k in range(n):  # contract (m_k, j_k), the first m and j left; append
+        X = np.tensordot(X, T, axes=([0, n - k], [2, 3]))  # (a_k, b_k)
+    X = X.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    return GridFunction(grid=ctx.grid, values=X)
 
 
 def coherent_overlap_exact(lam: float, a: float, b: float) -> float:

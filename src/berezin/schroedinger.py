@@ -13,6 +13,10 @@ builds its matrix per query (nothing is cached) and apply_group applies the
 displacement_1d factors axis by axis without building it.
 ambiguity_batch's chirp-z quadrature is the oracle of all of them.
 
+The coefficient map and the covariant symbol take their values at the
+Gauss-Hermite node pairs from _node_table and carry them to the grid with one
+interpolation matrix per axis (_interpolation_matrix, _expand_nodes).
+
 Matrix orientation: rep_matrix(g)[j, k] = (pi(g) e_k | e_j), the coefficient
 of e_j in pi(g) e_k, so column k literally equals apply_group(g, e_k) and
 matrix products compose like operator products.
@@ -25,16 +29,16 @@ from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.signal import CZT
+from scipy.special import roots_hermite
 
 from .core import (ModelConfig, HermiteState, OperatorMatrix, PhaseGrid,
-                   TruncationError, build_grid, basis_state, hermite_columns,
-                   position_quadrature)
+                   TruncationError, build_grid, basis_state, hermite_columns)
 from .heisenberg import HeisenbergElement, PhasePoint
 
 # max complex entries of a working set: the coherent table's (the table at
-# n = 1, twice it at n > 1 for the outer product and its transposed copy), the
-# n > 1 coefficient map's (output, transposed copy, per-axis table) and the
-# covariant symbol's (output, transposed copy at n > 1, node stage)
+# n = 1, twice it at n > 1 for the outer product and its transposed copy), and
+# the coefficient map's and the covariant symbol's (output, transposed copy at
+# n > 1, node stage, expansion)
 _TABLE_LIMIT = 2 ** 24
 # table entries below this modulus are stored as exact zeros, so every product
 # of two entries is zero or a normal float (subnormal arithmetic is slow)
@@ -92,6 +96,49 @@ def displacement_1d(lam: float, a, b, M: int) -> np.ndarray:
             * ell[..., d, np.minimum(m, j)])
 
 
+@lru_cache(maxsize=16)
+def _node_table(M: int, root: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only c[(p, q), d] = C_d((x_p + i x_q)/root) and conj(c).T, x the
+    2M-1 Gauss-Hermite nodes: w at the phase point (x_p, x_q)/sqrt(s) of the
+    interpolation at scale s, root = sqrt(2 s/lam) (sqrt(2) for the covariant
+    symbol, s = lam; 1 for the coefficient map, s = lam/2)."""
+    x, _ = roots_hermite(2 * M - 1)
+    w = ((x[:, None] + 1j * x[None, :]) / root).ravel()
+    c = np.stack(list(_bargmann_columns(w, M)), axis=-1)
+    cbar_t = np.ascontiguousarray(c.conj().T)
+    c.flags.writeable = False
+    cbar_t.flags.writeable = False
+    return c, cbar_t
+
+
+# the verification battery alone cycles through 8 (lam, L, G, M) keys
+@lru_cache(maxsize=16)
+def _interpolation_matrix(lam: float, L: float, G: int, M: int) -> np.ndarray:
+    """Read-only B (G, 2M-1): B[k, p] is the Hermite-function interpolant
+    through (1 at node p, 0 at the other nodes) at sqrt(lam) * axis[k].
+
+    B = E P^{-1}, E and P the first 2M-1 Hermite functions at the grid and at
+    the nodes (cond(P) = 1.6 at M = 32): a solve, as the Gauss-Hermite weights
+    invert P only up to their orthogonality defect (1e-13 at 63 nodes).
+    """
+    N = 2 * M - 1
+    x, _ = roots_hermite(N)
+    axis = PhaseGrid(n=1, lam=lam, L=L, G=G).axis
+    E = hermite_columns(np.sqrt(lam) * axis, N, 1.0)
+    P = hermite_columns(x, N, 1.0)
+    B = np.ascontiguousarray(np.linalg.solve(P.T, E.T).T)
+    B.flags.writeable = False
+    return B
+
+
+def _expand_nodes(S: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    """Node values S, axes (a_1 b_1 a_2 b_2 ..), carried to the grid by B on
+    every axis, returned in grid order (a_1..a_n, b_1..b_n)."""
+    for _ in range(2 * n):  # first axis to grid, appended last
+        S = np.tensordot(S, B, axes=([0], [1]))
+    return S.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+
+
 @dataclass
 class RepresentationContext:
     """Shared, immutable-after-construction state for one configuration.
@@ -118,23 +165,12 @@ class RepresentationContext:
 
     # -- coherent coefficient table ------------------------------------------
 
-    def coherent_columns(self) -> Iterator[np.ndarray]:
-        """Columns m = 0..M-1 of the 1-axis coherent table, one (G*G,) array each.
-
-        Column m holds C_m (module docstring) over the 1-axis (a, b) grid in
-        row-major order, entries below _TABLE_FLOOR as exact zeros.  One column
-        at a time keeps the working set at a few (G, G) arrays whatever M is.
-        """
-        ax = self.grid.axis
-        w = (np.sqrt(self.cfg.lam / 2.0)
-             * (ax[:, None] + 1j * ax[None, :])).ravel()
-        yield from _bargmann_columns(w, self.cfg.M)
-
     def coherent_table(self) -> np.ndarray:
         """C[k, m] = (e_m | pi(x_k) phi) over all grid points, built per call.
 
         Row k is the analysis transform of the basis at grid point x_k; the
         coefficient vector of the coherent state phi_{x_k} is conj(C[k, :]).
+        Entries below _TABLE_FLOOR are exact zeros.
         """
         G, M, n = self.cfg.G, self.cfg.M, self.cfg.n
         table = self.grid.num_points * self.cfg.dim
@@ -144,8 +180,10 @@ class RepresentationContext:
             raise MemoryError("coherent table of %d complex entries needs %d, "
                               "over the size guard of %d; reduce G or M"
                               % (table, need, _TABLE_LIMIT))
+        ax = self.grid.axis
+        w = np.sqrt(self.cfg.lam / 2.0) * (ax[:, None] + 1j * ax[None, :])
         C1 = np.empty((G * G, M), dtype=complex)
-        for m, col in enumerate(self.coherent_columns()):
+        for m, col in enumerate(_bargmann_columns(w.ravel(), M)):
             C1[:, m] = col
         if n == 1:
             return C1
@@ -155,15 +193,21 @@ class RepresentationContext:
         out = reduce(np.multiply.outer, [C1.reshape(G, G, M)] * n)
         perm = [3 * k + r for r in range(3) for k in range(n)]
         out = np.transpose(out, perm).reshape(G ** (2 * n), M ** n)
-        return _flush_tiny(out)
+        for col in out.T:  # flush products below the floor, column by column
+            col[np.abs(col) < _TABLE_FLOOR] = 0.0
+        return out
 
 
-def _flush_tiny(C: np.ndarray) -> np.ndarray:
-    """Zero the entries of C below _TABLE_FLOOR in place, one column at a time."""
-    for m in range(C.shape[-1]):
-        col = C[..., m]
-        col[np.abs(col) < _TABLE_FLOOR] = 0.0
-    return C
+def _position_quadrature(cfg: ModelConfig) -> tuple[np.ndarray, float]:
+    """1D position grid (t, s) of ambiguity_batch: 10 Gaussian decay lengths
+    past the top mode's turning point, a step resolving both sqrt(lam(2M+1))
+    and the grid's largest modulation frequency lam*L, with margin."""
+    lam, M, L = cfg.lam, cfg.M, cfg.L
+    R = np.sqrt((2 * M + 1) / lam) + 10.0 / np.sqrt(lam)
+    s_max = min(0.2 / np.sqrt(lam * (2 * M + 1)), np.pi / (5.0 * lam * L))
+    Np = int(np.ceil(2.0 * R / s_max)) | 1
+    t = np.linspace(-R, R, Np)
+    return t, float(t[1] - t[0])
 
 
 def ambiguity_batch(ctx: RepresentationContext, F: np.ndarray,
@@ -174,7 +218,7 @@ def ambiguity_batch(ctx: RepresentationContext, F: np.ndarray,
     gives the coherent table); no main-path route calls it.
 
     F has shape (M, nf): coefficients of nf states u, sampled on the grid of
-    position_quadrature.  window is the coefficient vector of the window state
+    _position_quadrature.  window is the coefficient vector of the window state
     v (length M, one axis), synthesized at the shifted nodes t - a.
     Returns (G, G, nf) with axes (a-index, b-index, batch).
 
@@ -187,7 +231,7 @@ def ambiguity_batch(ctx: RepresentationContext, F: np.ndarray,
     """
     cfg, grid = ctx.cfg, ctx.grid
     lam, G, M = cfg.lam, cfg.G, cfg.M
-    t, s = position_quadrature(cfg)
+    t, s = _position_quadrature(cfg)
     Np = t.size
     U = hermite_columns(t, M, lam) @ np.asarray(F)
     if U.ndim == 1:

@@ -20,7 +20,8 @@ axis, one B per phase-space axis.  The interpolation rounds at the scale of
 the node values, so the error is absolute, about eps * max|S| (measured
 <= 6e-15 max|S|): values in the Gaussian tail below that are rounding noise, not the
 relatively accurate tiny values of the coherent-table route
-(oracle.table_covariant_symbol).
+(oracle.table_covariant_symbol).  The coefficient map (transforms) takes the
+same route at scale lam/2, through the helpers of the schroedinger module.
 
 The quadrature rule behind every integral identity is the grid measure
 density * cell_weight.  Its resolution-of-identity defect W - I, W the frame
@@ -32,62 +33,19 @@ and W is the Kronecker power of W1.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
-from scipy.special import roots_hermite
 
-from .core import (GridFunction, HermiteState, OperatorMatrix, PhaseGrid,
-                   TruncationError, hermite_columns, hs_inner)
+from .core import (GridFunction, HermiteState, OperatorMatrix,
+                   TruncationError, hs_inner)
 from .heisenberg import HeisenbergElement, PhasePoint, project_to_phase
-from .schroedinger import (_TABLE_LIMIT, RepresentationContext,
-                           _bargmann_columns, coherent_state, gaussian_vector,
-                           rep_matrix)
+from .schroedinger import (_TABLE_LIMIT, RepresentationContext, _expand_nodes,
+                           _interpolation_matrix, _node_table, coherent_state,
+                           gaussian_vector, rep_matrix)
 from .transforms import coefficient_map
 
 _SVD_LIMIT = 2 ** 26  # max complex entries of the symbol-map SVD's working set
-
-
-@lru_cache(maxsize=8)
-def _node_table(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only c[(p, q), d] = C_d((x_p + i x_q)/sqrt(2)) and conj(c).T.
-
-    x are the 2M-1 Gauss-Hermite nodes.  The node pair (p, q) is the phase
-    point (x_p, x_q)/sqrt(lam), where w = sqrt(lam/2)(a + ib) drops lambda.
-    """
-    x, _ = roots_hermite(2 * M - 1)
-    w = ((x[:, None] + 1j * x[None, :]) / np.sqrt(2.0)).ravel()
-    c = np.stack(list(_bargmann_columns(w, M)), axis=-1)
-    cbar_t = np.ascontiguousarray(c.conj().T)
-    c.flags.writeable = False
-    cbar_t.flags.writeable = False
-    return c, cbar_t
-
-
-# the verification battery alone cycles through 9 (lam, L, G, M) contexts
-@lru_cache(maxsize=16)
-def _interpolation_matrix(lam: float, L: float, G: int, M: int) -> np.ndarray:
-    """Read-only B (G, 2M-1): B[k, p] is the Hermite-function interpolant
-    through (1 at node p, 0 at the other nodes) at sqrt(lam) * axis[k].
-
-    B = E P^{-1} with E and P the first 2M-1 Hermite functions at the grid
-    and at the nodes; P is well conditioned (cond 1.6 at M = 32).  A solve,
-    not the Gauss-Hermite weights: P^T diag(weights e^{x^2}) is P^{-1} only
-    up to the weights' orthogonality defect (1e-13 at 63 nodes).
-    """
-    N = 2 * M - 1
-    x, _ = roots_hermite(N)
-    axis = PhaseGrid(n=1, lam=lam, L=L, G=G).axis
-    E = hermite_columns(np.sqrt(lam) * axis, N, 1.0)
-    P = hermite_columns(x, N, 1.0)
-    B = np.ascontiguousarray(np.linalg.solve(P.T, E.T).T)
-    B.flags.writeable = False
-    return B
-
-
-def _grid_interpolation(ctx: RepresentationContext) -> np.ndarray:
-    grid = ctx.grid
-    return _interpolation_matrix(grid.lam, grid.L, grid.G, ctx.cfg.M)
 
 
 def frame_operator(ctx: RepresentationContext) -> np.ndarray:
@@ -100,8 +58,8 @@ def frame_operator(ctx: RepresentationContext) -> np.ndarray:
     axis pairs (module docstring).
     """
     cfg, grid = ctx.cfg, ctx.grid
-    c, cbar_t = _node_table(cfg.M)
-    u = _grid_interpolation(ctx).sum(axis=0)
+    c, cbar_t = _node_table(cfg.M, np.sqrt(2.0))
+    u = _interpolation_matrix(grid.lam, grid.L, grid.G, cfg.M).sum(axis=0)
     dd1 = grid.lam * grid.h ** 2 / (2.0 * np.pi)
     W1 = (cbar_t * (dd1 * np.outer(u, u).ravel())) @ c
     return reduce(np.kron, [W1] * cfg.n)
@@ -188,18 +146,16 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
         raise MemoryError("covariant symbol on %d grid points needs %d complex "
                           "entries, over the size guard of %d; reduce G or M"
                           % (grid.num_points, need, _TABLE_LIMIT))
-    c, cbar_t = _node_table(M)
+    c, cbar_t = _node_table(M, np.sqrt(2.0))
     S = A.entries.reshape((M,) * (2 * n))
     for k in range(n):  # axes (m_k.., j_k.., node pairs 1..k-1)
         S = np.tensordot(S, c, axes=([0], [1]))  # m_k -> node pair k, last
         S = np.moveaxis(S, n - 1 - k, -2)  # j_k beside it
         S = (S * cbar_t).sum(axis=-2)
     S = S.reshape((N,) * (2 * n))  # node axes (a_1 b_1 a_2 b_2 ...)
-    B = _grid_interpolation(ctx)
-    for _ in range(2 * n):  # first axis to grid, appended last
-        S = np.tensordot(S, B, axes=([0], [1]))
-    S = S.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    return GridFunction(grid=grid, values=S)
+    B = _interpolation_matrix(grid.lam, grid.L, grid.G, M)
+    # copied into grid order here, so the transposed product is freed first
+    return GridFunction(grid=grid, values=_expand_nodes(S, B, n).reshape(-1))
 
 
 def trace_identity_residual(ctx: RepresentationContext, A: OperatorMatrix) -> float:
@@ -282,9 +238,10 @@ def build_symbol_map(ctx: RepresentationContext) -> np.ndarray:
     if need > _SVD_LIMIT:
         raise MemoryError("symbol map SVD needs %d complex entries, over the "
                           "size guard of %d; reduce M or G" % (need, _SVD_LIMIT))
-    c, cbar_t = _node_table(M)
+    c, cbar_t = _node_table(M, np.sqrt(2.0))
     F = (c[:, :, None] * cbar_t.T[:, None, :]).reshape(N, N * M * M)
-    R = np.linalg.qr(_grid_interpolation(ctx), mode="r")
+    B = _interpolation_matrix(grid.lam, grid.L, grid.G, M)
+    R = np.linalg.qr(B, mode="r")
     F = R @ (R @ F).reshape(K, N, M * M)  # R on node axis a, then on b
     dd1 = grid.lam * grid.h ** 2 / (2.0 * np.pi)
     sv = np.sqrt(dd1) * np.linalg.svd(F.reshape(K * K, M * M), compute_uv=False)

@@ -1,5 +1,12 @@
 """Coefficient map, orbit Fourier transform, and cross-Wigner distribution.
 
+The coefficient map (f | pi(x) phi) is, per axis pair, e^{-lam(a^2+b^2)/4}
+times a polynomial of degree <= 2M-2 in each of a and b (C_d ell^d_j of the
+schroedinger module docstring), so, for any n, its samples at the Gauss-Hermite
+node pairs fix it and the interpolation matrix at scale lam/2 carries them to
+the grid; no grid-sized table is built.  The error is absolute, about
+eps * ||f|| ||phi||: tail values below that are rounding noise.
+
 The orbit carries Lebesgue measure in (alpha, beta) coordinates scaled by
 orbit_density = (2 pi lam)^{-n}; phase space carries (lam/2 pi)^n * Lebesgue.
 Orbit samples live on the reciprocal lattice xi_j = (j - G/2) * eta with
@@ -18,10 +25,12 @@ from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.fft
+from scipy.special import roots_hermite
 
 from .core import GridFunction, HermiteState, PhaseGrid
-from .schroedinger import (_TABLE_LIMIT, RepresentationContext,
-                           _laguerre_factors, displacement_1d)
+from .schroedinger import (_TABLE_LIMIT, RepresentationContext, _expand_nodes,
+                           _interpolation_matrix, _laguerre_factors,
+                           _node_table)
 
 
 @dataclass
@@ -125,74 +134,64 @@ def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
 
 def coefficient_map(ctx: RepresentationContext, f: HermiteState,
                     phi: HermiteState) -> GridFunction:
-    """values_k = (f | pi([a_k, b_k, 0]) phi) over the whole phase grid.
+    """values_k = (f | pi([a_k, b_k, 0]) phi) over the whole phase grid, any n.
 
-    n = 1 streams coherent-table columns, any n > 1 contracts per-axis tables
-    of displacement_1d.  Linear in f and conjugate-linear in phi.
+    Linear in f and conjugate-linear in phi.  The size guard refuses, before
+    anything is computed, the largest of: the last node step of _map_nodes
+    (its input, the node values, one term of them, the Laguerre factors and
+    their temporaries), the largest expansion step with tensordot's copies,
+    and the output with its copy in grid order (n > 1) or with GridFunction's
+    finiteness mask (n = 1).
     """
-    cfg = ctx.cfg
+    cfg, grid = ctx.cfg, ctx.grid
     if f.dim != cfg.dim or phi.dim != cfg.dim:
         raise ValueError("state dimension mismatch")
-    route = _coefficient_map_1d if cfg.n == 1 else _coefficient_map_nd
-    return GridFunction(grid=ctx.grid, values=route(ctx, f.coeffs, phi.coeffs))
-
-
-def _coefficient_map_1d(ctx: RepresentationContext, f: np.ndarray,
-                        phi: np.ndarray) -> np.ndarray:
-    """(f | pi(x_k) phi) at n = 1, exact in the truncation, column by column.
-
-    With C_d the coherent table column d and O[m, j] = f_m conj(phi_j), the
-    Laguerre form of pi(x_k) (schroedinger module docstring) gives
-      values = sum_d C_d sum_j O[j+d, j] ell^d_j
-             + conj(sum_{d>0} C_d sum_j (-1)^d conj(O[j, j+d]) ell^d_j).
-    ell depends on rho = |w_k|^2 alone, which takes ~G^2/10 distinct values on
-    the grid, so the recurrence runs on those; j stops at the last nonzero
-    window coefficient, so the vacuum window is one pass over the columns.
-    The working set is a few (G, G) arrays: the table is never held.
-    """
-    M, G = ctx.cfg.M, ctx.cfg.G
-    nz = np.flatnonzero(phi)
-    J = int(nz[-1]) if nz.size else 0
-    O = np.outer(f, np.conj(phi))
-    idx = np.arange(G) - G // 2  # grid.axis / h
-    q, inv = np.unique((idx[:, None] ** 2 + idx[None, :] ** 2).ravel(),
-                       return_inverse=True)
-    rho = (ctx.cfg.lam / 2.0) * ctx.grid.h ** 2 * q
-    out = np.zeros(G * G, dtype=complex)
-    for d, col in enumerate(ctx.coherent_columns()):
-        lo, up = np.diagonal(O, -d), (-1.0) ** d * np.conj(np.diagonal(O, d))
-        s_lo, s_up = lo[0], up[0]
-        steps = min(J, M - 1 - d)
-        if steps:
-            ells = _laguerre_factors(rho, M, d, steps)
-            next(ells)  # ell^d_0 = 1
-            for j, ell in enumerate(ells, start=1):
-                s_lo = s_lo + lo[j] * ell
-                s_up = s_up + up[j] * ell
-            s_lo, s_up = s_lo[inv], s_up[inv]
-        out += col * s_lo
-        if J and d:
-            out += np.conj(col * s_up)
-    return out
-
-
-def _coefficient_map_nd(ctx: RepresentationContext, f: np.ndarray,
-                        phi: np.ndarray) -> np.ndarray:
-    """(f | pi(x) phi) = sum_{m,j} f_m conj(phi_j) prod_k T[a_k, b_k, m_k, j_k], any n,
-    T = conj(displacement_1d) on the 1-axis grid, contracted one axis at a time."""
-    cfg = ctx.cfg
     n, M, G = cfg.n, cfg.M, cfg.G
-    need = 2 * G ** (2 * n) + G * G * M * M  # output, its transposed copy, T
+    N = 2 * M - 1
+    need = max((M * M + M + 2 * N * N) * N ** (2 * n - 2) + (M + 4) * N * N,
+               (2 * N + G) * max(N, G) ** (2 * n - 1) + N * G,
+               2 * grid.num_points if n > 1 else grid.num_points * 17 // 16)
     if need > _TABLE_LIMIT:
-        raise MemoryError("n > 1 coefficient map needs %d complex entries, over the "
-                          "size guard of %d; reduce G or M" % (need, _TABLE_LIMIT))
-    ax = ctx.grid.axis
-    T = np.conj(displacement_1d(cfg.lam, ax[:, None], ax[None, :], M))
-    X = np.multiply.outer(f.reshape((M,) * n), np.conj(phi).reshape((M,) * n))
-    for k in range(n):  # contract (m_k, j_k), the first m and j left; append
-        X = np.tensordot(X, T, axes=([0, n - k], [2, 3]))  # (a_k, b_k)
-    X = X.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    return X.reshape(-1)
+        raise MemoryError("coefficient map on %d grid points needs %d complex "
+                          "entries, over the size guard of %d; reduce G or M"
+                          % (grid.num_points, need, _TABLE_LIMIT))
+    B = _interpolation_matrix(grid.lam / 2.0, grid.L, G, M)
+    # left unnamed, the node values and the transposed product are freed early
+    return GridFunction(grid=grid, values=_expand_nodes(
+        _map_nodes(f.coeffs, phi.coeffs, M, n), B, n).reshape(-1))
+
+
+def _map_nodes(f: np.ndarray, phi: np.ndarray, M: int, n: int) -> np.ndarray:
+    """(f | pi(x) phi) at the node points w = x_p + i x_q, axes (a_1 b_1 ..):
+    the Laguerre form on each diagonal d of f (x) conj(phi), one axis pair at a
+    time, its recurrence stopped at the window's last nonzero mode J."""
+    N = 2 * M - 1
+    x, _ = roots_hermite(N)
+    rho = (x[:, None] ** 2 + x[None, :] ** 2).ravel()  # |w|^2 at node pairs
+    c, cbar_t = _node_table(M, 1.0)
+    window = phi.reshape((M,) * n)
+    J = int(np.argwhere(window).max(initial=0))  # last nonzero window mode
+    ell = np.empty((min(J, M - 1) + 1, N * N), dtype=complex)
+    X = np.multiply.outer(f.reshape((M,) * n), np.conj(window))
+    for k in range(n):  # axes (m_k.., j_k.., node pairs 1..k-1)
+        rest = X.shape[1:n - k] + X.shape[n - k + 1:]
+        nodes = np.zeros(rest + (N * N,), dtype=complex)
+        term = np.empty_like(nodes)
+        for d in range(M):
+            rows = min(J, M - 1 - d) + 1
+            for j, e in enumerate(_laguerre_factors(rho, M, d, rows - 1)):
+                ell[j] = e
+            diags = [(-d, c[:, d])]  # O[j+d, j] C_d
+            if 0 < d <= J:  # O[j, j+d] (-1)^d conj(C_d), zero past the window
+                diags.append((d, (-1.0) ** d * cbar_t[d]))
+            for offset, scale in diags:
+                diag = np.diagonal(X, offset, 0, n - k)[..., :rows]
+                np.dot(diag.reshape(-1, rows), ell[:rows],
+                       out=term.reshape(-1, N * N))
+                term *= scale
+                nodes += term
+        X = nodes  # node pair k appended last
+    return X.reshape((N,) * (2 * n))
 
 
 def wigner(ctx: RepresentationContext, f: HermiteState,

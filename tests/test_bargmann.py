@@ -1,9 +1,11 @@
-"""Closed-form (Bargmann) coherent table and the n = 1 coefficient map on it.
+"""Closed-form (Bargmann) coherent table and the coefficient map.
 
-The main path builds the table from e^{-|w|^2/2} w^m / sqrt(m!) and the
-n = 1 coefficient map from Laguerre recurrences on the same columns, made
-one at a time; the position-space chirp-z quadrature ambiguity_batch checks
-both.
+The table is built from e^{-|w|^2/2} w^m / sqrt(m!), for the oracles and
+tests only.  The coefficient map, for any n, takes Laguerre recurrences on
+the same columns at the Gauss-Hermite node pairs and interpolates them to
+the grid; it never builds the table.  The position-space chirp-z quadrature
+ambiguity_batch checks both, and oracle.table_coefficient_map, the closed
+form at every grid point, checks the map to rounding.
 """
 from __future__ import annotations
 
@@ -14,8 +16,9 @@ import pytest
 
 from berezin import (HermiteState, ModelConfig, RepresentationContext,
                      analysis, coefficient_map, default_L, gaussian_vector)
-from berezin import schroedinger
-from berezin.schroedinger import ambiguity_batch
+from berezin import schroedinger, transforms
+from berezin.oracle import table_coefficient_map
+from berezin.schroedinger import _bargmann_columns, ambiguity_batch
 
 FLOOR = 2.0 ** -511
 
@@ -74,7 +77,9 @@ def test_vacuum_window_matches_table_product():
 
 def test_table_columns_are_the_streamed_columns():
     ctx = _ctx(4.0, 16, 64)
-    cols = np.stack(list(ctx.coherent_columns()), axis=1)
+    ax = ctx.grid.axis
+    w = np.sqrt(4.0 / 2.0) * (ax[:, None] + 1j * ax[None, :])
+    cols = np.stack(list(_bargmann_columns(w.ravel(), 16)), axis=1)
     np.testing.assert_array_equal(ctx.coherent_table(), cols)
 
 
@@ -90,6 +95,63 @@ def test_coefficient_map_needs_no_table(monkeypatch, no_table):
         ctx.coherent_table()
     ref = _quadrature_map(ctx, f, phi)
     assert np.abs(got - ref).max() < 1e-9 * np.linalg.norm(f) * np.linalg.norm(phi)
+
+
+def test_n2_coefficient_map_needs_no_table(no_table):
+    ctx = _ctx(1.0, 4, 32, n=2)
+    rng = np.random.default_rng(5)
+    f, phi = _random_coeffs(rng, 16), _random_coeffs(rng, 16)
+    with no_table():
+        got = coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
+    ref = table_coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
+    assert np.abs(got - ref).max() < 5e-15 * np.linalg.norm(f) * np.linalg.norm(phi)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
+def test_coefficient_map_matches_table_oracle(lam):
+    # general windows, a partial one stopping the recurrence early, and the
+    # vacuum; the node route rounds at the scale of ||f|| ||phi||
+    ctx = _ctx(lam, 16, 128)
+    rng = np.random.default_rng(8)
+    partial = _random_coeffs(rng, 16)
+    partial[5:] = 0.0
+    for phi in (_random_coeffs(rng, 16), partial, np.eye(16)[0]):
+        f = _random_coeffs(rng, 16)
+        got = coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
+        ref = table_coefficient_map(ctx, HermiteState(f),
+                                    HermiteState(phi)).values
+        scale = np.linalg.norm(f) * np.linalg.norm(phi)
+        assert np.abs(got - ref).max() < 5e-15 * scale  # measured 8.9e-16
+
+
+def test_n2_entangled_map_matches_table_oracle():
+    ctx = _ctx(1.0, 5, 40, n=2)
+    rng = np.random.default_rng(9)
+    f, phi = _random_coeffs(rng, 25), _random_coeffs(rng, 25)
+    got = coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
+    ref = table_coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
+    scale = np.linalg.norm(f) * np.linalg.norm(phi)
+    assert np.abs(got - ref).max() < 5e-15 * scale  # measured 4.2e-16
+
+
+def test_coefficient_map_guard_counts_its_working_set(monkeypatch):
+    # n = 2, M = 3, G = 24: the output and its copy in grid order, 2 * 24^4,
+    # are the largest term
+    ctx = _ctx(1.0, 3, 24, n=2)
+    need = 2 * 24 ** 4
+    vac = gaussian_vector(ctx.cfg)
+    monkeypatch.setattr(transforms, "_TABLE_LIMIT", need - 1)
+    with pytest.raises(MemoryError, match="331776 grid points needs %d" % need):
+        coefficient_map(ctx, vac, vac)
+    monkeypatch.setattr(transforms, "_TABLE_LIMIT", need)
+    tracemalloc.start()
+    try:
+        A = coefficient_map(ctx, vac, vac)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.values.size == 24 ** 4
+    assert peak <= 1.01 * 16 * need  # measured 1.0002
 
 
 def test_coefficient_map_working_set_is_a_few_grid_arrays():

@@ -229,6 +229,18 @@ def test_non_finite_integer_config_value_exits_2(paths, capsys, key, raw):
     assert "config key '%s' must be an integer" % key in capsys.readouterr().err
 
 
+def test_huge_integer_config_value_exits_2(paths, capsys):
+    # a 401-digit G overflowed 2L/G into an OverflowError traceback
+    data = json.loads(paths["cfg_path"].read_text())
+    text = json.dumps(data).replace('"G": %d' % data["G"], '"G": 1' + "0" * 400)
+    cfg_path = paths["root"] / "cfg_huge_G.json"
+    cfg_path.write_text(text)
+    rc = main(["report", "--config", str(cfg_path),
+               "--out", str(paths["root"] / "out_huge_G")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: G must not exceed 65536\n"
+
+
 def test_report_not_certified_exits_0(paths, capsys):
     # sigma_min = 6.49e-4 at M = 8 misses the 100 * tol_quadrature = 1e-3
     # verdict threshold; the exit code does not depend on the verdict
@@ -341,16 +353,22 @@ def test_unknown_subcommand_exits_2(paths):
 
 
 def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
-    # 2 G^4 + G^2 M^2 = 16897296 complex entries, just over 2^24; M = 28
-    # would be 16743168, just under.  Refused before anything is allocated.
-    cfg = ModelConfig(n=2, lam=1.0, M=29, L=7.0, G=52, tol_identity=1e-6,
-                      tol_quadrature=1e-5)
-    cfg_path = paths["root"] / "n2_big.json"
-    save_config(cfg_path, cfg)
-    state_path = paths["root"] / "n2_big_state.csv"
-    write_state_csv(state_path, np.eye(1, cfg.dim, 0, dtype=complex)[0])
-    code = main(["wigner", "--config", str(cfg_path), "--state",
-                 str(state_path), "--out", str(paths["root"] / "out_big")])
-    assert code == 2
+    # at G = 16 the largest term is the first expansion step (2N + G) N^3
+    # + N G, N = 2M - 1: 18163842 complex entries at M = 27, just over 2^24,
+    # refused before anything is allocated; M = 26 needs 15653634 and runs
+    codes = {}
+    for M in (26, 27):
+        cfg = ModelConfig(n=2, lam=1.0, M=M, L=28.0, G=16, tol_identity=1e-6,
+                          tol_quadrature=0.9)
+        cfg_path = paths["root"] / ("n2_M%d.json" % M)
+        save_config(cfg_path, cfg)
+        state_path = paths["root"] / ("n2_M%d_state.csv" % M)
+        write_state_csv(state_path, np.eye(1, cfg.dim, 0, dtype=complex)[0])
+        codes[M] = main(["wigner", "--config", str(cfg_path), "--state",
+                         str(state_path),
+                         "--out", str(paths["root"] / ("out_n2_M%d" % M))])
+    assert codes == {26: 0, 27: 2}
     err = capsys.readouterr().err
-    assert "16897296" in err and "size guard of 16777216" in err
+    assert "needs 18163842" in err and "size guard of 16777216" in err
+    _, vals = read_grid_csv(paths["root"] / "out_n2_M26" / "ambiguity.csv")
+    assert vals.size == 16 ** 4 and np.abs(vals).max() < 1.0 + 1e-12

@@ -7,8 +7,7 @@ import pytest
 from berezin import (ConfigError, GridFunction, HermiteState, ModelConfig,
                      OperatorMatrix, PhaseGrid, basis_state, build_grid,
                      default_L, default_config, hermite_columns, hs_inner,
-                     identity_operator, inner_l2, position_quadrature,
-                     rank_one)
+                     identity_operator, inner_l2, rank_one)
 
 
 def test_default_config_is_valid():
@@ -156,23 +155,6 @@ def test_rank_one_action():
     P = rank_one(u, v)  # f -> (v|f)... fixed orientation: P g = u (g|v)-bar
     np.testing.assert_allclose(P.apply(basis_state(3, 2)).coeffs, u.coeffs)
     np.testing.assert_allclose(P.apply(basis_state(3, 1)).coeffs, 0.0 * u.coeffs)
-
-
-def test_hermite_columns_orthonormal():
-    cfg = default_config(lam=1.0, M=12)
-    t, s = position_quadrature(cfg)
-    H = hermite_columns(t, cfg.M, cfg.lam)
-    gram = s * (H.T @ H)
-    assert np.abs(gram - np.eye(cfg.M)).max() < 1e-12
-
-
-def test_hermite_columns_vacuum_peak():
-    cfg = default_config(lam=2.0, M=4)
-    t, _ = position_quadrature(cfg)
-    H = hermite_columns(t, cfg.M, cfg.lam)
-    i0 = np.argmin(np.abs(t))
-    closed = (cfg.lam / np.pi) ** 0.25 * np.exp(-cfg.lam * t[i0] ** 2 / 2.0)
-    assert H[i0, 0] == pytest.approx(closed, abs=1e-12)
 
 
 def test_hermite_columns_match_scipy_at_63_columns():

@@ -64,6 +64,20 @@ def test_config_rejects_bad_types():
         config_from_dict([1, 2, 3])
 
 
+def test_config_refuses_integers_above_the_ceilings():
+    from berezin.core import MAX_G, MAX_M, MAX_N
+    base = config_to_dict(default_config())
+    for key, ceiling in (("n", MAX_N), ("M", MAX_M), ("G", MAX_G)):
+        data = dict(base, **{key: ceiling + 1})
+        with pytest.raises(ConfigError, match="%s must not exceed %d"
+                           % (key, ceiling)):
+            config_from_dict(data)
+    assert config_from_dict(dict(base, n=MAX_N)).n == MAX_N
+    # refused before M ** n or G ** (2n) is taken
+    with pytest.raises(ConfigError, match="n must not exceed"):
+        config_from_dict(dict(base, n=10 ** 400))
+
+
 def test_load_config_bad_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")

@@ -9,8 +9,8 @@ import pytest
 from berezin import (HeisenbergElement, HermiteState, PhasePoint,
                      RepresentationContext, TruncationError, apply_group,
                      basis_state, coherent_state, default_config,
-                     gaussian_vector, multiply, rep_matrix)
-from berezin.schroedinger import displacement_1d
+                     gaussian_vector, hermite_columns, multiply, rep_matrix)
+from berezin.schroedinger import _position_quadrature, displacement_1d
 from berezin.oracle import (PositionGrid, displacement_element,
                             gauss_hermite_matrix_element,
                             oracle_matrix_element, synthesize)
@@ -255,3 +255,20 @@ def test_displacement_column_zero_is_the_coherent_table(ctx):
     D = displacement_1d(ctx.cfg.lam, ax[:, None], ax[None, :], ctx.cfg.M)
     C = ctx.coherent_table().reshape(ctx.cfg.G, ctx.cfg.G, ctx.cfg.M)
     np.testing.assert_array_equal(D[:, :, :, 0], np.conj(C))
+
+
+def test_hermite_columns_orthonormal():
+    cfg = default_config(lam=1.0, M=12)
+    t, s = _position_quadrature(cfg)
+    H = hermite_columns(t, cfg.M, cfg.lam)
+    gram = s * (H.T @ H)
+    assert np.abs(gram - np.eye(cfg.M)).max() < 1e-12
+
+
+def test_hermite_columns_vacuum_peak():
+    cfg = default_config(lam=2.0, M=4)
+    t, _ = _position_quadrature(cfg)
+    H = hermite_columns(t, cfg.M, cfg.lam)
+    i0 = np.argmin(np.abs(t))
+    closed = (cfg.lam / np.pi) ** 0.25 * np.exp(-cfg.lam * t[i0] ** 2 / 2.0)
+    assert H[i0, 0] == pytest.approx(closed, abs=1e-12)

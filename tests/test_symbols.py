@@ -572,8 +572,8 @@ def test_covariant_symbol_refuses_node_stage_over_guard():
 
 def test_symbol_caches_are_bounded_and_read_only(ctx8):
     covariant_symbol(ctx8, identity_operator(8))
-    c, cbar_t = symbols._node_table(8)
-    B = symbols._grid_interpolation(ctx8)
+    c, cbar_t = symbols._node_table(8, np.sqrt(2.0))
+    B = symbols._interpolation_matrix(1.0, ctx8.grid.L, 128, 8)
     assert c.shape == (15 * 15, 8) and B.shape == (128, 15)
     for arr in (c, cbar_t, B):
         assert not arr.flags.writeable
