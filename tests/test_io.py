@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import json
 import platform
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -14,10 +15,12 @@ import berezin
 from berezin import (ConfigError, GridFunction, PhaseGrid,
                      RepresentationContext, default_config, gaussian_vector,
                      wigner)
-from berezin.io import (config_from_dict, config_to_dict, load_config,
-                        read_grid_csv, read_operator_csv, read_state_csv,
-                        save_config, write_grid_csv, write_operator_csv,
-                        write_run_manifest, write_state_csv)
+from berezin.io import (_BLOCK_ROWS, config_from_dict, config_to_dict,
+                        load_config, read_grid_csv, read_operator_csv,
+                        read_state_csv, save_config, write_grid_csv,
+                        write_operator_csv, write_run_manifest,
+                        write_state_csv)
+from berezin.transforms import OrbitGridFunction
 
 CFG_KEYS = {"n", "lambda", "M", "L", "G", "tol_identity", "tol_quadrature"}
 
@@ -103,7 +106,7 @@ def test_grid_csv_round_trip(tmp_path):
 
 
 def test_grid_csv_rows_are_the_bytes_of_savetxt(tmp_path):
-    grid = PhaseGrid(n=1, lam=1.0, L=4.0, G=48)  # 2304 rows: three chunks
+    grid = PhaseGrid(n=1, lam=1.0, L=4.0, G=48)  # 2304 rows, one block
     rng = np.random.default_rng(8)
     vals = rng.standard_normal(grid.num_points) * 1e3 \
         + 1j * rng.standard_normal(grid.num_points)
@@ -111,10 +114,66 @@ def test_grid_csv_rows_are_the_bytes_of_savetxt(tmp_path):
     fn = GridFunction(grid=grid, values=vals)
     p = tmp_path / "g.csv"
     write_grid_csv(p, fn, "test", default_config())
-    table = np.column_stack([grid.points(), vals.real, vals.imag])
+    assert p.read_text(encoding="utf-8") == \
+        "a1,b1,re,im\n" + _savetxt_bytes(fn, grid.points())
+
+
+def _savetxt_bytes(fn, coords):
+    # the old row-by-row route: one `%.17g` row per grid point
+    table = np.column_stack([coords, fn.values.real, fn.values.imag])
     buf = io.StringIO()
     np.savetxt(buf, table, fmt="%.17g", delimiter=",")
-    assert p.read_text(encoding="utf-8") == "a1,b1,re,im\n" + buf.getvalue()
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("G", [6, 10])  # one block; ten blocks of 1000 rows
+@pytest.mark.parametrize("orbit", [False, True])
+def test_n2_grid_csv_rows_are_the_bytes_of_savetxt(tmp_path, G, orbit):
+    grid = PhaseGrid(n=2, lam=0.5, L=3.0, G=G)
+    assert grid.num_points % _BLOCK_ROWS != 0
+    rng = np.random.default_rng(G)
+    vals = rng.standard_normal(grid.num_points) * 1e3 \
+        + 1j * rng.standard_normal(grid.num_points)
+    vals[[0, 1, 7, -2, -1]] = [-0.0, 5e-324, 1e300 - 0.0j, -1e300,
+                               complex(-1e-300, -0.0)]
+    if orbit:
+        fn = OrbitGridFunction(grid=grid, values=vals)
+        coords = np.stack([m.ravel() for m in np.meshgrid(
+            *([fn.xi_axis] * 4), indexing="ij")], axis=1)
+    else:
+        fn = GridFunction(grid=grid, values=vals)
+        coords = grid.points()
+    p = tmp_path / "g.csv"
+    write_grid_csv(p, fn, "test", default_config())
+    assert p.read_text(encoding="utf-8") == \
+        "a1,a2,b1,b2,re,im\n" + _savetxt_bytes(fn, coords)
+
+
+def test_grid_csv_axis_longer_than_a_block(tmp_path, monkeypatch):
+    monkeypatch.setattr("berezin.io._BLOCK_ROWS", 4)  # G = 6 rows a block
+    grid = PhaseGrid(n=1, lam=1.0, L=4.0, G=6)
+    vals = np.arange(36) * (1.0 - 0.1j) / 3
+    fn = GridFunction(grid=grid, values=vals)
+    p = tmp_path / "g.csv"
+    write_grid_csv(p, fn, "test", default_config())
+    assert p.read_text(encoding="utf-8") == \
+        "a1,b1,re,im\n" + _savetxt_bytes(fn, grid.points())
+
+
+def test_grid_csv_working_set_is_below_the_values(tmp_path):
+    # no coordinate table and no re/im copy: the peak is a block's floats
+    # and text (5.1x the values for the per-row table it replaced)
+    grid = PhaseGrid(n=2, lam=1.0, L=4.0, G=24)
+    rng = np.random.default_rng(4)
+    fn = GridFunction(grid=grid, values=rng.standard_normal(grid.num_points)
+                      + 1j * rng.standard_normal(grid.num_points))
+    tracemalloc.start()
+    try:
+        write_grid_csv(tmp_path / "g.csv", fn, "test", default_config())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < fn.values.nbytes
 
 
 def test_grid_csv_sidecar_manifest(tmp_path):

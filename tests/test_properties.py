@@ -1,4 +1,5 @@
-"""Property tests: group law, displacement adjoints, orbit-FFT unitarity.
+"""Property tests: group law, coadjoint action, displacement adjoints,
+orbit-FFT unitarity.
 
 Hypothesis runs derandomized with few examples, so these stay deterministic
 and fast.
@@ -9,9 +10,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berezin import (HeisenbergElement, PhaseGrid, fourier_orbit,
-                     identity_element, inverse, inverse_fourier_orbit,
-                     multiply)
+from berezin import (HeisenbergElement, OrbitPoint, PhaseGrid, base_point,
+                     coadjoint, fourier_orbit, identity_element, inverse,
+                     inverse_fourier_orbit, multiply, orbit_preimage)
 from berezin.schroedinger import displacement_1d
 from berezin.transforms import OrbitGridFunction
 
@@ -48,6 +49,40 @@ def test_inverse_is_two_sided(gs):
     e = identity_element(g.n)
     _assert_close(multiply(g, inverse(g)), e)
     _assert_close(multiply(inverse(g), g), e)
+
+
+@st.composite
+def acting_on_a_point(draw):
+    """Two group elements and an orbit point of the same dimension."""
+    g, h = draw(elements(2))
+    vec = st.lists(coord, min_size=g.n, max_size=g.n)
+    return g, h, OrbitPoint(draw(vec), draw(vec), draw(coord))
+
+
+def _assert_same_point(xi, eta, atol):
+    np.testing.assert_allclose(xi.alpha, eta.alpha, rtol=0, atol=atol)
+    np.testing.assert_allclose(xi.beta, eta.beta, rtol=0, atol=atol)
+    assert xi.gamma == eta.gamma
+
+
+@PROPERTY
+@given(acting_on_a_point())
+def test_coadjoint_is_an_action(args):
+    g, h, xi = args
+    _assert_same_point(coadjoint(multiply(g, h), xi),
+                       coadjoint(g, coadjoint(h, xi)), 1e-13)
+    _assert_same_point(coadjoint(identity_element(xi.n), xi), xi, 0.0)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.data())
+def test_orbit_preimage_moves_the_base_point_to_its_target(n, data):
+    lam = data.draw(st.sampled_from([-1.0, 1.0])) \
+        * data.draw(st.floats(0.25, 4.0))
+    vec = st.lists(coord, min_size=n, max_size=n)
+    t = OrbitPoint(data.draw(vec), data.draw(vec), lam)
+    _assert_same_point(coadjoint(orbit_preimage(t), base_point(n, lam)), t,
+                       1e-14)
 
 
 @PROPERTY
