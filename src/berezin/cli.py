@@ -20,8 +20,9 @@ import sys
 from .core import ConfigError, HermiteState, OperatorMatrix, TruncationError
 from .io import (config_to_dict, load_config, read_operator_csv,
                  read_state_csv, write_grid_csv, write_run_manifest)
-from .schroedinger import RepresentationContext, gaussian_vector
-from .symbols import covariant_symbol, injectivity_report
+from .schroedinger import (RepresentationContext, _refuse_over_guard,
+                           gaussian_vector)
+from .symbols import check_symbol_map, covariant_symbol, injectivity_report
 from .transforms import coefficient_map, inverse_fourier_orbit
 from .verify import run_verification
 
@@ -62,20 +63,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _finish(cfg, args, outputs: list, summary: dict, doc: dict,
+            text: str) -> None:
+    """Write the run manifest, then print doc (--json) or text."""
+    write_run_manifest(
+        os.path.join(args.out, args.command + "_manifest.json"), cfg,
+        args.command, outputs, summary)
+    print(json.dumps(doc, indent=2, sort_keys=True) if args.json else text)
+
+
 def cmd_verify(cfg, args) -> int:
     report = run_verification(cfg, seed=args.seed)
     table_path = os.path.join(args.out, "verify_table.txt")
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write(report.table() + "\n")
-    write_run_manifest(os.path.join(args.out, "verify_manifest.json"),
-                       cfg, "verify", [table_path], report.residual_summary())
-    if args.json:
-        print(json.dumps({"passed": report.passed,
-                          "failures": report.failures(),
-                          "residual_summary": report.residual_summary()},
-                         indent=2, sort_keys=True))
-    else:
-        print(report.table())
+    _finish(cfg, args, [table_path], report.residual_summary(),
+            {"passed": report.passed, "failures": report.failures(),
+             "residual_summary": report.residual_summary()}, report.table())
     if not report.passed:
         print("failed checks: %s" % ", ".join(report.failures()),
               file=sys.stderr)
@@ -85,40 +89,29 @@ def cmd_verify(cfg, args) -> int:
 
 def cmd_symbol(cfg, args) -> int:
     entries = read_operator_csv(args.operator, cfg.dim)
-    A = OperatorMatrix(entries=entries)
-    ctx = RepresentationContext(cfg)
-    sym = covariant_symbol(ctx, A)
+    sym = covariant_symbol(RepresentationContext(cfg), OperatorMatrix(entries))
     csv_path = os.path.join(args.out, "berezin_symbol.csv")
-    write_grid_csv(csv_path, sym, "berezin_symbol", cfg)
-    write_run_manifest(os.path.join(args.out, "symbol_manifest.json"),
-                       cfg, "symbol",
-                       [csv_path, csv_path + ".manifest.json"], {})
-    if args.json:
-        print(json.dumps({"outputs": [csv_path]}, indent=2, sort_keys=True))
-    else:
-        print("wrote %s (quantity berezin_symbol)" % csv_path)
+    outputs = write_grid_csv(csv_path, sym, "berezin_symbol", cfg)
+    _finish(cfg, args, outputs, {}, {"outputs": [csv_path]},
+            "wrote %s (quantity berezin_symbol)" % csv_path)
     return 0
 
 
 def cmd_wigner(cfg, args) -> int:
-    coeffs = read_state_csv(args.state, cfg.dim)
-    f = HermiteState(coeffs=coeffs)
+    f = HermiteState(read_state_csv(args.state, cfg.dim))
     ctx = RepresentationContext(cfg)
+    # the ambiguity table stays while the Wigner table is built beside it
+    points = ctx.grid.num_points
+    _refuse_over_guard("ambiguity and Wigner tables", points,
+                       2 * points * 17 // 16)
     amb = coefficient_map(ctx, f, gaussian_vector(cfg))
     wig = inverse_fourier_orbit(amb)
     amb_path = os.path.join(args.out, "ambiguity.csv")
     wig_path = os.path.join(args.out, "wigner.csv")
-    write_grid_csv(amb_path, amb, "ambiguity", cfg)
-    write_grid_csv(wig_path, wig, "wigner", cfg)
-    outputs = [amb_path, amb_path + ".manifest.json",
-               wig_path, wig_path + ".manifest.json"]
-    write_run_manifest(os.path.join(args.out, "wigner_manifest.json"),
-                       cfg, "wigner", outputs, {})
-    if args.json:
-        print(json.dumps({"outputs": [amb_path, wig_path]},
-                         indent=2, sort_keys=True))
-    else:
-        print("wrote %s and %s" % (amb_path, wig_path))
+    outputs = (write_grid_csv(amb_path, amb, "ambiguity", cfg)
+               + write_grid_csv(wig_path, wig, "wigner", cfg))
+    _finish(cfg, args, outputs, {}, {"outputs": [amb_path, wig_path]},
+            "wrote %s and %s" % (amb_path, wig_path))
     return 0
 
 
@@ -133,18 +126,17 @@ def _parse_sweep(text: str) -> tuple:
     return m1, m2
 
 
-def _flat_report(cfg, rep: dict) -> dict:
-    return {"config": config_to_dict(cfg),
-            "sigma_min": rep["sigma_min"], "sigma_max": rep["sigma_max"],
-            "cond": rep["cond"], "verdict": rep["verdict"],
-            "baselines": rep["baselines"]}
+def _report_fields(ctx) -> dict:
+    rep = injectivity_report(ctx)
+    return {k: rep[k] for k in
+            ("sigma_min", "sigma_max", "cond", "verdict", "baselines")}
 
 
 def cmd_report(cfg, args) -> int:
     json_path = os.path.join(args.out, "injectivity.json")
     if args.sweep is None:
-        rep = injectivity_report(RepresentationContext(cfg))
-        doc = _flat_report(cfg, rep)
+        rep = _report_fields(RepresentationContext(cfg))
+        doc = {"config": config_to_dict(cfg), **rep}
         summary = {"sigma_min": rep["sigma_min"]}
         lines = ["sigma_min = %.12g" % rep["sigma_min"],
                  "sigma_max = %.12g" % rep["sigma_max"],
@@ -152,15 +144,12 @@ def cmd_report(cfg, args) -> int:
                  "verdict   = %s" % rep["verdict"]]
     else:
         m1, m2 = _parse_sweep(args.sweep)
-        rows, summary = [], {}
-        for M in range(m1, m2 + 1):
-            sub = dataclasses.replace(cfg, M=M)
-            rep = injectivity_report(RepresentationContext(sub))
-            rows.append({"M": M, "sigma_min": rep["sigma_min"],
-                         "sigma_max": rep["sigma_max"], "cond": rep["cond"],
-                         "verdict": rep["verdict"],
-                         "baselines": rep["baselines"]})
-            summary["sigma_min_M%d" % M] = rep["sigma_min"]
+        subs = [RepresentationContext(dataclasses.replace(cfg, M=M))
+                for M in range(m1, m2 + 1)]
+        for sub in subs:  # the whole range is refused before the first SVD
+            check_symbol_map(sub)
+        rows = [{"M": sub.cfg.M, **_report_fields(sub)} for sub in subs]
+        summary = {"sigma_min_M%d" % r["M"]: r["sigma_min"] for r in rows}
         doc = {"config": config_to_dict(cfg), "sweep": rows}
         lines = ["%3s  %14s  %14s  %12s  %s" %
                  ("M", "sigma_min", "sigma_max", "cond", "verdict")]
@@ -171,12 +160,7 @@ def cmd_report(cfg, args) -> int:
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_run_manifest(os.path.join(args.out, "report_manifest.json"),
-                       cfg, "report", [json_path], summary)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    _finish(cfg, args, [json_path], summary, doc, "\n".join(lines))
     return 0
 
 

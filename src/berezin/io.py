@@ -2,11 +2,8 @@
 
 Floats are written with %.17g so every file round-trips through the readers
 here to bit-identical values.  Grid CSVs keep np.savetxt's bytes, but each
-coordinate is formatted once and a block of rows takes one `%`.  On a 2-core
-machine a row costs about 2 us at n = 1, G = 128 (3.2-3.8 us row by row), and
-the n = 2, M = 5, G = 40 `berezin wigner` run (two 315 MB tables) takes 14 s
-(24 s row by row).  All parse problems raise ConfigError, which the CLI maps
-to exit code 2.
+coordinate is formatted once and a block of rows takes one `%`.  All parse
+problems raise ConfigError, which the CLI maps to exit code 2.
 """
 from __future__ import annotations
 
@@ -82,8 +79,9 @@ def _csv_header(n: int) -> str:
     return ",".join(cols + ["re", "im"])
 
 
-def write_grid_csv(path, fn, quantity: str, cfg: ModelConfig) -> None:
-    """CSV rows `a1,..,bn,re,im` in grid order plus a sidecar manifest."""
+def write_grid_csv(path, fn, quantity: str, cfg: ModelConfig) -> list:
+    """CSV rows `a1,..,bn,re,im` in grid order plus a sidecar manifest;
+    returns the two paths written."""
     grid = fn.grid
     # orbit functions sit on the dual lattice, under the same header
     axis = fn.xi_axis if hasattr(fn, "xi_axis") else grid.axis
@@ -102,9 +100,11 @@ def write_grid_csv(path, fn, quantity: str, cfg: ModelConfig) -> None:
                 "grid": {"L": grid.L, "G": grid.G, "h": grid.h,
                          "density": grid.density},
                 "quantity": quantity}
-    with open(str(path) + ".manifest.json", "w", encoding="utf-8") as fh:
+    sidecar = str(path) + ".manifest.json"
+    with open(sidecar, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return [path, sidecar]
 
 
 def read_grid_csv(path) -> tuple:

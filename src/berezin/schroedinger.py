@@ -15,7 +15,8 @@ ambiguity_batch's chirp-z quadrature is the oracle of all of them.
 
 The coefficient map and the covariant symbol take their values at the
 Gauss-Hermite node pairs from _node_table and carry them to the grid with one
-interpolation matrix per axis (_interpolation_matrix, _expand_nodes).
+interpolation matrix per axis (_interpolation_matrix, _expand_nodes); one
+working-set count refuses both (_guard_node_route).
 
 Matrix orientation: rep_matrix(g)[j, k] = (pi(g) e_k | e_j), the coefficient
 of e_j in pi(g) e_k, so column k literally equals apply_group(g, e_k) and
@@ -35,10 +36,8 @@ from .core import (ModelConfig, HermiteState, OperatorMatrix, PhaseGrid,
                    TruncationError, build_grid, basis_state, hermite_columns)
 from .heisenberg import HeisenbergElement, PhasePoint
 
-# max complex entries of a working set: the coherent table's (the table at
-# n = 1, twice it at n > 1 for the outer product and its transposed copy), and
-# the coefficient map's and the covariant symbol's (output, transposed copy at
-# n > 1, node stage, expansion)
+# max complex entries of a grid-sized working set (_refuse_over_guard): the
+# coherent table's, the node routes' (_guard_node_route) and berezin wigner's
 _TABLE_LIMIT = 2 ** 24
 # table entries below this modulus are stored as exact zeros, so every product
 # of two entries is zero or a normal float (subnormal arithmetic is slow)
@@ -133,10 +132,33 @@ def _interpolation_matrix(lam: float, L: float, G: int, M: int) -> np.ndarray:
 
 def _expand_nodes(S: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     """Node values S, axes (a_1 b_1 a_2 b_2 ..), carried to the grid by B on
-    every axis, returned in grid order (a_1..a_n, b_1..b_n)."""
+    every axis, returned contiguous in grid order (a_1..a_n, b_1..b_n)."""
+    S = S.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
     for _ in range(2 * n):  # first axis to grid, appended last
         S = np.tensordot(S, B, axes=([0], [1]))
-    return S.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    return S
+
+
+def _guard_node_route(name: str, cfg: ModelConfig, own: int) -> None:
+    """Refuse, before anything is computed, a node route whose working set
+    exceeds the size guard.  The cached node table (c and conj(c).T) and B
+    are held throughout, beside the largest of: the caller's node stage
+    (`own` complex entries), an expansion step of _expand_nodes (its input,
+    tensordot's copy of it and its output), and the output with
+    GridFunction's finiteness mask (1/16 of it)."""
+    M, G, n = cfg.M, cfg.G, cfg.n
+    N, points = 2 * M - 1, G ** (2 * n)
+    _refuse_over_guard(name, points, 2 * M * N * N + N * G + max(
+        own, (2 * N + G) * max(N, G) ** (2 * n - 1), points * 17 // 16))
+
+
+def _refuse_over_guard(name: str, points: int, need: int) -> None:
+    """MemoryError naming the bound when a working set of `need` complex
+    entries on `points` grid points exceeds _TABLE_LIMIT."""
+    if need > _TABLE_LIMIT:
+        raise MemoryError("%s on %d grid points needs %d complex entries, "
+                          "over the size guard of %d; reduce G or M"
+                          % (name, points, need, _TABLE_LIMIT))
 
 
 @dataclass
@@ -174,12 +196,10 @@ class RepresentationContext:
         """
         G, M, n = self.cfg.G, self.cfg.M, self.cfg.n
         table = self.grid.num_points * self.cfg.dim
-        # n > 1 holds the outer product and its transposed copy at once
-        need = table if n == 1 else 2 * table
-        if need > _TABLE_LIMIT:
-            raise MemoryError("coherent table of %d complex entries needs %d, "
-                              "over the size guard of %d; reduce G or M"
-                              % (table, need, _TABLE_LIMIT))
+        # the (G^2, M) axis table with up to 6 (G, G) temporaries; at n > 1
+        # the table with the flush's modulus and mask of one a_1 block
+        _refuse_over_guard("coherent table", self.grid.num_points,
+                           max(G * G * (M + 6), table + table // G))
         ax = self.grid.axis
         w = np.sqrt(self.cfg.lam / 2.0) * (ax[:, None] + 1j * ax[None, :])
         C1 = np.empty((G * G, M), dtype=complex)
@@ -187,15 +207,15 @@ class RepresentationContext:
             C1[:, m] = col
         if n == 1:
             return C1
-        # combine per-axis tables: the rep factorizes over axes and the grid
-        # is ordered (a_1..a_n, b_1..b_n), so transpose pair blocks into place:
-        # out axes (a1 b1 m1 a2 b2 m2 ...) -> (a1..an b1..bn m1..mn)
-        out = reduce(np.multiply.outer, [C1.reshape(G, G, M)] * n)
-        perm = [3 * k + r for r in range(3) for k in range(n)]
-        out = np.transpose(out, perm).reshape(G ** (2 * n), M ** n)
-        for col in out.T:  # flush products below the floor, column by column
-            col[np.abs(col) < _TABLE_FLOOR] = 0.0
-        return out
+        # the rep factorizes over axes: C1, broadcast over axes (a_k, b_k, m_k)
+        # of the layout (a_1..a_n, b_1..b_n, m_1..m_n) for each k, multiplies
+        # into the table with no transposed copy
+        shapes = [[G if i in (k, n + k) else M if i == 2 * n + k else 1
+                   for i in range(3 * n)] for k in range(n)]
+        out = reduce(np.multiply, [C1.reshape(s) for s in shapes])
+        for block in out:  # flush products below the floor, one a_1 at a time
+            block[np.abs(block) < _TABLE_FLOOR] = 0.0
+        return out.reshape(G ** (2 * n), M ** n)
 
 
 def _position_quadrature(cfg: ModelConfig) -> tuple[np.ndarray, float]:

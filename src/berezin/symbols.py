@@ -40,9 +40,10 @@ import numpy as np
 from .core import (GridFunction, HermiteState, OperatorMatrix,
                    TruncationError, hs_inner)
 from .heisenberg import HeisenbergElement, PhasePoint, project_to_phase
-from .schroedinger import (_TABLE_LIMIT, RepresentationContext, _expand_nodes,
-                           _interpolation_matrix, _node_table, coherent_state,
-                           gaussian_vector, rep_matrix)
+from .schroedinger import (RepresentationContext, _expand_nodes,
+                           _guard_node_route, _interpolation_matrix,
+                           _node_table, coherent_state, gaussian_vector,
+                           rep_matrix)
 from .transforms import coefficient_map
 
 _SVD_LIMIT = 2 ** 26  # max complex entries of the symbol-map SVD's working set
@@ -128,24 +129,18 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
     Separable and table-free (module docstring).  Node stage: A, one axis
     (m_k, j_k) at a time, meets the node table c on its row index and conj(c)
     on its column index, giving S at the (2M-1)^{2n} node points.  Expansion:
-    the interpolation matrix B on each of the 2n axes, then one transpose into
-    grid order (a_1..a_n, b_1..b_n).  Absolute error about eps * max|S|.
-    The working set is refused before anything is computed when over the size
-    guard: at n > 1 the output and its transposed copy, 2 G^{2n} complex
-    entries (G^{2n} at n = 1), and the last node step, M (2M-1)^{2n} entries
-    and the same again for its product with conj(c).
+    the node values in grid order (a_1..a_n, b_1..b_n), then the
+    interpolation matrix B on each of the 2n axes.  Absolute error about
+    eps * max|S|.  The size guard counts the expansion and, for the last node
+    step, M (2M-1)^{2n} entries and the same again for its product with
+    conj(c).
     """
     cfg, grid = ctx.cfg, ctx.grid
     if A.dim != cfg.dim:
         raise ValueError("operator dimension mismatch")
     n, M = cfg.n, cfg.M
     N = 2 * M - 1
-    need = max(grid.num_points if n == 1 else 2 * grid.num_points,
-               2 * M * N ** (2 * n))
-    if need > _TABLE_LIMIT:
-        raise MemoryError("covariant symbol on %d grid points needs %d complex "
-                          "entries, over the size guard of %d; reduce G or M"
-                          % (grid.num_points, need, _TABLE_LIMIT))
+    _guard_node_route("covariant symbol", cfg, 2 * M * N ** (2 * n))
     c, cbar_t = _node_table(M, np.sqrt(2.0))
     S = A.entries.reshape((M,) * (2 * n))
     for k in range(n):  # axes (m_k.., j_k.., node pairs 1..k-1)
@@ -154,7 +149,6 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
         S = (S * cbar_t).sum(axis=-2)
     S = S.reshape((N,) * (2 * n))  # node axes (a_1 b_1 a_2 b_2 ...)
     B = _interpolation_matrix(grid.lam, grid.L, grid.G, M)
-    # copied into grid order here, so the transposed product is freed first
     return GridFunction(grid=grid, values=_expand_nodes(S, B, n).reshape(-1))
 
 
@@ -225,8 +219,25 @@ def build_symbol_map(ctx: RepresentationContext) -> np.ndarray:
     sqrt(dd1) (R (x) R) F, K = min(G, 2M-1), has the same singular values.
     At n > 1 the map is the n-fold Kronecker power of that one, up to order.
     """
+    check_symbol_map(ctx)
     cfg, grid = ctx.cfg, ctx.grid
-    dim, n, M = cfg.dim, cfg.n, cfg.M
+    n, M = cfg.n, cfg.M
+    N = 2 * M - 1
+    c, cbar_t = _node_table(M, np.sqrt(2.0))
+    F = (c[:, :, None] * cbar_t.T[:, None, :]).reshape(N, N * M * M)
+    B = _interpolation_matrix(grid.lam, grid.L, grid.G, M)
+    R = np.linalg.qr(B, mode="r")
+    F = R @ (R @ F).reshape(len(R), N, M * M)  # R on node axis a, then b
+    dd1 = grid.lam * grid.h ** 2 / (2.0 * np.pi)
+    sv = np.sqrt(dd1) * np.linalg.svd(F.reshape(-1, M * M), compute_uv=False)
+    return np.sort(reduce(np.multiply.outer, [sv] * n), axis=None)[::-1]
+
+
+def check_symbol_map(ctx: RepresentationContext) -> None:
+    """Refuse an under-determined symbol map (ValueError) or one whose SVD
+    working set exceeds _SVD_LIMIT (MemoryError), before anything is built."""
+    cfg, grid = ctx.cfg, ctx.grid
+    dim, M = cfg.dim, cfg.M
     if dim * dim > grid.num_points:
         raise ValueError(
             "under-determined configuration: (M^n)^2 = %d columns exceed %d "
@@ -238,14 +249,6 @@ def build_symbol_map(ctx: RepresentationContext) -> np.ndarray:
     if need > _SVD_LIMIT:
         raise MemoryError("symbol map SVD needs %d complex entries, over the "
                           "size guard of %d; reduce M or G" % (need, _SVD_LIMIT))
-    c, cbar_t = _node_table(M, np.sqrt(2.0))
-    F = (c[:, :, None] * cbar_t.T[:, None, :]).reshape(N, N * M * M)
-    B = _interpolation_matrix(grid.lam, grid.L, grid.G, M)
-    R = np.linalg.qr(B, mode="r")
-    F = R @ (R @ F).reshape(K, N, M * M)  # R on node axis a, then on b
-    dd1 = grid.lam * grid.h ** 2 / (2.0 * np.pi)
-    sv = np.sqrt(dd1) * np.linalg.svd(F.reshape(K * K, M * M), compute_uv=False)
-    return np.sort(reduce(np.multiply.outer, [sv] * n), axis=None)[::-1]
 
 
 def injectivity_report(ctx: RepresentationContext) -> dict:

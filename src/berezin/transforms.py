@@ -28,9 +28,9 @@ import scipy.fft
 from scipy.special import roots_hermite
 
 from .core import GridFunction, HermiteState, PhaseGrid
-from .schroedinger import (_TABLE_LIMIT, RepresentationContext, _expand_nodes,
-                           _interpolation_matrix, _laguerre_factors,
-                           _node_table)
+from .schroedinger import (RepresentationContext, _expand_nodes,
+                           _guard_node_route, _interpolation_matrix,
+                           _laguerre_factors, _node_table)
 
 
 @dataclass
@@ -136,27 +136,19 @@ def coefficient_map(ctx: RepresentationContext, f: HermiteState,
                     phi: HermiteState) -> GridFunction:
     """values_k = (f | pi([a_k, b_k, 0]) phi) over the whole phase grid, any n.
 
-    Linear in f and conjugate-linear in phi.  The size guard refuses, before
-    anything is computed, the largest of: the last node step of _map_nodes
-    (its input, the node values, one term of them, the Laguerre factors and
-    their temporaries), the largest expansion step with tensordot's copies,
-    and the output with its copy in grid order (n > 1) or with GridFunction's
-    finiteness mask (n = 1).
+    Linear in f and conjugate-linear in phi.  The size guard counts the
+    expansion and the last node step of _map_nodes: its input, the node
+    values, one term of them, the Laguerre factors and their temporaries.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if f.dim != cfg.dim or phi.dim != cfg.dim:
         raise ValueError("state dimension mismatch")
-    n, M, G = cfg.n, cfg.M, cfg.G
+    n, M = cfg.n, cfg.M
     N = 2 * M - 1
-    need = max((M * M + M + 2 * N * N) * N ** (2 * n - 2) + (M + 4) * N * N,
-               (2 * N + G) * max(N, G) ** (2 * n - 1) + N * G,
-               2 * grid.num_points if n > 1 else grid.num_points * 17 // 16)
-    if need > _TABLE_LIMIT:
-        raise MemoryError("coefficient map on %d grid points needs %d complex "
-                          "entries, over the size guard of %d; reduce G or M"
-                          % (grid.num_points, need, _TABLE_LIMIT))
-    B = _interpolation_matrix(grid.lam / 2.0, grid.L, G, M)
-    # left unnamed, the node values and the transposed product are freed early
+    _guard_node_route("coefficient map", cfg, (M * M + M + 2 * N * N)
+                      * N ** (2 * n - 2) + (M + 4) * N * N)
+    B = _interpolation_matrix(grid.lam / 2.0, grid.L, cfg.G, M)
+    # left unnamed, the node values are freed after the first expansion step
     return GridFunction(grid=grid, values=_expand_nodes(
         _map_nodes(f.coeffs, phi.coeffs, M, n), B, n).reshape(-1))
 

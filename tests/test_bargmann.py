@@ -16,7 +16,7 @@ import pytest
 
 from berezin import (HermiteState, ModelConfig, RepresentationContext,
                      analysis, coefficient_map, default_L, gaussian_vector)
-from berezin import schroedinger, transforms
+from berezin import schroedinger
 from berezin.oracle import table_coefficient_map
 from berezin.schroedinger import _bargmann_columns, ambiguity_batch
 
@@ -84,9 +84,10 @@ def test_table_columns_are_the_streamed_columns():
 
 
 def test_coefficient_map_needs_no_table(monkeypatch, no_table):
-    # a config whose table the size guard refuses still gets its map
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 0)
+    # a guard at the table's own size refuses the table (its build
+    # temporaries put it over), while the map fits
     ctx = _ctx(1.0, 16, 64)
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 64 * 64 * 16)
     rng = np.random.default_rng(3)
     f, phi = _random_coeffs(rng, 16), _random_coeffs(rng, 16)
     with no_table():
@@ -134,16 +135,25 @@ def test_n2_entangled_map_matches_table_oracle():
     assert np.abs(got - ref).max() < 5e-15 * scale  # measured 4.2e-16
 
 
+def _node_route_need(M, G, n, own):
+    # the cached node table and B, beside the node stage, the largest
+    # expansion step or the output with its finiteness mask
+    N = 2 * M - 1
+    return 2 * M * N * N + N * G + max(
+        own, (2 * N + G) * max(N, G) ** (2 * n - 1), G ** (2 * n) * 17 // 16)
+
+
 def test_coefficient_map_guard_counts_its_working_set(monkeypatch):
-    # n = 2, M = 3, G = 24: the output and its copy in grid order, 2 * 24^4,
-    # are the largest term
+    # n = 2, M = 3, G = 24: the last expansion step, (2N + G) G^3, is the
+    # largest term
     ctx = _ctx(1.0, 3, 24, n=2)
-    need = 2 * 24 ** 4
+    need = _node_route_need(3, 24, 2, 0)
+    assert need == 150 + 120 + 34 * 24 ** 3 == 470286
     vac = gaussian_vector(ctx.cfg)
-    monkeypatch.setattr(transforms, "_TABLE_LIMIT", need - 1)
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
     with pytest.raises(MemoryError, match="331776 grid points needs %d" % need):
         coefficient_map(ctx, vac, vac)
-    monkeypatch.setattr(transforms, "_TABLE_LIMIT", need)
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
     tracemalloc.start()
     try:
         A = coefficient_map(ctx, vac, vac)
@@ -151,7 +161,23 @@ def test_coefficient_map_guard_counts_its_working_set(monkeypatch):
     finally:
         tracemalloc.stop()
     assert A.values.size == 24 ** 4
-    assert peak <= 1.01 * 16 * need  # measured 1.0002
+    assert peak <= 16 * need  # measured 0.86
+
+
+def test_coefficient_map_guard_counts_the_node_stage(monkeypatch):
+    # n = 2, M = 10, G = 4: the last node step of _map_nodes is the largest
+    ctx = RepresentationContext(ModelConfig(
+        n=2, lam=1.0, M=10, L=5.0, G=4, tol_identity=1e-6, tol_quadrature=0.9))
+    N = 19
+    own = (100 + 10 + 2 * N * N) * N * N + 14 * N * N
+    need = _node_route_need(10, 4, 2, own)
+    assert own > (2 * N + 4) * N ** 3 and need == 7220 + 76 + own == 312702
+    f = HermiteState(_random_coeffs(np.random.default_rng(6), 100))
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
+    with pytest.raises(MemoryError, match="256 grid points needs %d" % need):
+        coefficient_map(ctx, f, f)
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
+    assert coefficient_map(ctx, f, f).values.size == 4 ** 4
 
 
 def test_coefficient_map_working_set_is_a_few_grid_arrays():
@@ -200,16 +226,28 @@ def test_table_working_set_within_twice_the_table():
     finally:
         tracemalloc.stop()
     assert C.nbytes == 256 * 256 * 32 * 16
-    assert peak <= 2 * C.nbytes
+    # the guard's count, the table and 6 (G, G) temporaries: 1.19x the
+    # table; measured 1.13x
+    assert peak <= 16 * 256 * 256 * (32 + 6)
 
 
-def test_n2_table_guard_counts_the_transposed_copy(monkeypatch):
-    ctx = RepresentationContext(ModelConfig(
-        n=2, lam=1.0, M=2, L=5.0, G=8, tol_identity=1e-6, tol_quadrature=0.01))
+def test_n2_table_guard_counts_its_working_set(monkeypatch):
+    # the axis tables multiply straight into the grid layout: the table and
+    # the flush's modulus and mask of one a_1 block, table / G
+    ctx = _ctx(1.0, 3, 24, n=2)
     entries = ctx.grid.num_points * ctx.cfg.dim
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 2 * entries - 1)
-    with pytest.raises(MemoryError, match="%d complex entries needs %d"
-                       % (entries, 2 * entries)):
+    need = entries + entries // 24
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
+    with pytest.raises(MemoryError, match="331776 grid points needs %d "
+                       "complex entries" % need):
         ctx.coherent_table()
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 2 * entries)
-    assert ctx.coherent_table().shape == (8 ** 4, 4)
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
+    tracemalloc.start()
+    try:
+        C = ctx.coherent_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert C.shape == (24 ** 4, 9) and C.flags.c_contiguous
+    assert peak <= 16 * need
+    assert peak <= 1.1 * C.nbytes  # measured 1.02; 2.00 with the transpose

@@ -6,12 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import berezin
-from berezin import ModelConfig, default_config
+from berezin import ModelConfig, default_config, schroedinger
 from berezin.cli import main
 from berezin.io import read_grid_csv, save_config, write_operator_csv, \
     write_state_csv
@@ -315,14 +316,15 @@ def test_verify_deterministic(paths):
 
 
 def test_symbol_n2_beyond_symbol_guard_exits_2(paths, capsys):
-    # the symbol builds no coherent table, so M = 6, G = 22 (a table whose
-    # outer product and transposed copy need 16866432 > 2^24 entries) is
-    # served; its own bound is the output and its transposed copy,
-    # 2 * 54^4 = 17006112 > 2^24 at G = 54, refused before anything is built
+    # the symbol builds no coherent table, so M = 6, G = 22 (a table of
+    # 8433216 complex entries) is served; its own bound is the last
+    # expansion step, (2N + G) G^3 with N = 11, and the cached node table and
+    # B: 17714112 > 2^24 at G = 60, refused before anything is built (G = 58
+    # needs 15611050 and is served)
     op_path = paths["root"] / "n2_identity.csv"
     write_operator_csv(op_path, np.eye(36, dtype=complex))
     codes = {}
-    for G in (22, 54):
+    for G in (22, 60):
         cfg = ModelConfig(n=2, lam=1.0, M=6, L=7.0, G=G, tol_identity=1e-6,
                           tol_quadrature=1e-5)
         cfg_path = paths["root"] / ("n2_G%d.json" % G)
@@ -330,13 +332,12 @@ def test_symbol_n2_beyond_symbol_guard_exits_2(paths, capsys):
         codes[G] = main(["symbol", "--config", str(cfg_path), "--operator",
                          str(op_path),
                          "--out", str(paths["root"] / ("out_n2_G%d" % G))])
-    assert codes == {22: 0, 54: 2}
+    assert codes == {22: 0, 60: 2}
     err = capsys.readouterr().err
-    assert "8503056 grid points needs 17006112" in err
+    assert "12960000 grid points needs 17714112" in err
     assert "size guard of 16777216" in err
     _, vals = read_grid_csv(paths["root"] / "out_n2_G22" / "berezin_symbol.csv")
     assert vals.size == 22 ** 4 and vals.real.max() < 1.0 + 1e-12
-
 
 
 def test_missing_config_file(paths, capsys):
@@ -353,9 +354,10 @@ def test_unknown_subcommand_exits_2(paths):
 
 
 def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
-    # at G = 16 the largest term is the first expansion step (2N + G) N^3
-    # + N G, N = 2M - 1: 18163842 complex entries at M = 27, just over 2^24,
-    # refused before anything is allocated; M = 26 needs 15653634 and runs
+    # at G = 16 the largest term is the first expansion step (2N + G) N^3,
+    # N = 2M - 1, beside the cached node table and B: 18315528 complex
+    # entries at M = 27, over 2^24, refused before anything is allocated;
+    # M = 26 needs 15788886 and runs
     codes = {}
     for M in (26, 27):
         cfg = ModelConfig(n=2, lam=1.0, M=M, L=28.0, G=16, tol_identity=1e-6,
@@ -369,6 +371,57 @@ def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
                          "--out", str(paths["root"] / ("out_n2_M%d" % M))])
     assert codes == {26: 0, 27: 2}
     err = capsys.readouterr().err
-    assert "needs 18163842" in err and "size guard of 16777216" in err
+    assert "needs 18315528" in err and "size guard of 16777216" in err
     _, vals = read_grid_csv(paths["root"] / "out_n2_M26" / "ambiguity.csv")
     assert vals.size == 16 ** 4 and np.abs(vals).max() < 1.0 + 1e-12
+
+def test_wigner_guard_counts_both_tables(paths, capsys, monkeypatch):
+    # the ambiguity table stays while the Wigner table is built beside it:
+    # both tables and their finiteness masks, 2 * G^2 * 17/16 at n = 1
+    cfg_path = paths["root"] / "cfg_M2_G64.json"
+    save_config(cfg_path, default_config(lam=1.0, M=2, G=64))
+    state_path = paths["root"] / "M2_state.csv"
+    write_state_csv(state_path, np.array([0.6, 0.8j]))
+    need = 2 * 64 ** 2 * 17 // 16
+    codes = {}
+    for limit in (need - 1, need):
+        monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", limit)
+        out = paths["root"] / ("out_wigner_limit_%d" % limit)
+        codes[limit] = main(["wigner", "--config", str(cfg_path), "--state",
+                             str(state_path), "--out", str(out)])
+        assert os.path.isfile(out / "wigner.csv") == (limit == need)
+    assert codes == {need - 1: 2, need: 0}
+    assert ("ambiguity and Wigner tables on 4096 grid points needs 8704 "
+            "complex entries, over the size guard of 8703"
+            in capsys.readouterr().err)
+
+
+def test_wigner_beyond_both_tables_guard_exits_2(paths, capsys):
+    # n = 1, M = 16: G = 2808 needs 16755336 <= 2^24; G = 2810 needs
+    # 16779212 and is refused up front, before the map is computed
+    cfg_path = paths["root"] / "cfg_G2810.json"
+    save_config(cfg_path, default_config(lam=1.0, M=16, G=2810))
+    state_path = paths["root"] / "M16_state.csv"
+    write_state_csv(state_path, np.eye(16, dtype=complex)[0])
+    out = paths["root"] / "out_G2810"
+    assert main(["wigner", "--config", str(cfg_path), "--state",
+                 str(state_path), "--out", str(out)]) == 2
+    assert ("7896100 grid points needs 16779212 complex entries, over the "
+            "size guard of 16777216" in capsys.readouterr().err)
+    assert not os.path.exists(out / "ambiguity.csv")
+    assert 2 * 2808 ** 2 * 17 // 16 == 16755336 <= 2 ** 24
+
+
+def test_report_sweep_beyond_svd_guard_exits_2_up_front(paths, capsys):
+    # the SVD guard's need grows with M: M = 46 needs 70094616 > 2^26 at
+    # G = 128, so the whole range is refused before the first SVD
+    cfg_path = paths["root"] / "cfg_default.json"
+    save_config(cfg_path, default_config())
+    out = paths["root"] / "out_sweep_60"
+    start = time.perf_counter()
+    rc = main(["report", "--config", str(cfg_path), "--sweep", "1..60",
+               "--out", str(out)])
+    assert rc == 2 and time.perf_counter() - start < 5.0
+    assert ("symbol map SVD needs 70094616 complex entries, over the size "
+            "guard of 67108864" in capsys.readouterr().err)
+    assert not os.path.exists(out / "injectivity.json")

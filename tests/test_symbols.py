@@ -14,7 +14,7 @@ from berezin import (HeisenbergElement, OperatorMatrix, PhasePoint,
                      hs_inner, identity_operator, injectivity_report,
                      inner_l2, kernel, onb_expansion_check, rank_one,
                      reconstruct, run_verification, trace_identity_residual)
-from berezin import symbols
+from berezin import schroedinger, symbols
 from berezin.core import GridFunction, ModelConfig
 from berezin.oracle import (analytic_singular_values, table_covariant_symbol,
                             table_frame_operator, table_symbol_map)
@@ -551,14 +551,48 @@ def test_frame_operator_and_reconstruct_build_no_table(no_table):
         assert np.abs(frame_operator(cx) - np.eye(8)).max() < 1e-14
 
 
+def _symbol_need(M, G, n):
+    # the cached node table and B, beside the last node step, the largest
+    # expansion step or the output with its finiteness mask
+    N = 2 * M - 1
+    return 2 * M * N * N + N * G + max(
+        2 * M * N ** (2 * n), (2 * N + G) * max(N, G) ** (2 * n - 1),
+        G ** (2 * n) * 17 // 16)
+
+
 def test_covariant_symbol_refuses_output_over_guard(monkeypatch):
-    # n > 1 holds the output and its transposed copy: 2 G^{2n} entries
-    cx = RepresentationContext(default_config(n=2, lam=1.0, M=3, G=24))
-    monkeypatch.setattr(symbols, "_TABLE_LIMIT", 2 * 24 ** 4 - 1)
-    with pytest.raises(MemoryError, match="331776 grid points needs 663552"):
-        covariant_symbol(cx, identity_operator(9))
-    monkeypatch.setattr(symbols, "_TABLE_LIMIT", 2 * 24 ** 4)
-    assert covariant_symbol(cx, identity_operator(9)).values.size == 24 ** 4
+    # n = 1, M = 2, G = 128: the output and its mask, 17/16 G^2, are the
+    # largest term
+    cx = RepresentationContext(default_config(lam=1.0, M=2, G=128))
+    need = _symbol_need(2, 128, 1)
+    assert need == 36 + 3 * 128 + 128 ** 2 * 17 // 16 == 17828
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
+    with pytest.raises(MemoryError, match="16384 grid points needs 17828"):
+        covariant_symbol(cx, identity_operator(2))
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
+    assert covariant_symbol(cx, identity_operator(2)).values.size == 128 ** 2
+
+
+def test_n2_covariant_symbol_guard_counts_the_expansion(monkeypatch):
+    # n = 2, M = 5, G = 40: the last expansion step, (2N + G) G^3 (input,
+    # tensordot's copy, output), is the largest term
+    cx = RepresentationContext(default_config(n=2, lam=1.0, M=5, G=40))
+    need = _symbol_need(5, 40, 2)
+    assert need == 810 + 360 + 58 * 40 ** 3 == 3713170
+    A = identity_operator(25)
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
+    with pytest.raises(MemoryError, match="2560000 grid points needs 3713170"):
+        covariant_symbol(cx, A)
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
+    tracemalloc.start()
+    try:
+        S = covariant_symbol(cx, A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * need
+    # measured 1.23x the output; 2.00x with the transposed output copy
+    assert peak <= 1.3 * S.values.nbytes
 
 
 def test_covariant_symbol_refuses_node_stage_over_guard():
@@ -566,7 +600,8 @@ def test_covariant_symbol_refuses_node_stage_over_guard():
     # entries, 2 * 24 * 47^4 = 234224688 with its product, over 2^24
     cx = RepresentationContext(ModelConfig(n=2, lam=1.0, M=24, L=28.0, G=16,
                                            tol_quadrature=0.9))
-    with pytest.raises(MemoryError, match="needs 234224688 .* guard of 16777216"):
+    assert _symbol_need(24, 16, 2) == 106032 + 752 + 234224688
+    with pytest.raises(MemoryError, match="needs 234331472 .* guard of 16777216"):
         covariant_symbol(cx, identity_operator(24 ** 2))
 
 
