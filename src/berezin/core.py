@@ -247,6 +247,15 @@ def rank_one(u: HermiteState, v: HermiteState) -> OperatorMatrix:
     return OperatorMatrix(np.outer(u.coeffs, v.coeffs.conj()))
 
 
+def _require_finite(values: np.ndarray) -> None:
+    """ValueError unless every real and imaginary part of the (non-empty)
+    complex array is finite: min and max of its float view propagate nan and
+    reach +-inf, so no grid-sized mask is made and nothing can overflow."""
+    x = values.view(float)
+    if not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        raise ValueError("non-finite values")
+
+
 @dataclass
 class GridFunction:
     """Complex samples of a phase-space function, one value per grid point."""
@@ -258,8 +267,7 @@ class GridFunction:
         v = np.asarray(self.values, dtype=complex).ravel()
         if v.size != self.grid.num_points:
             raise ValueError("value count does not match grid size")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite values")
+        _require_finite(v)
         object.__setattr__(self, "values", v)
 
     def reshape(self) -> np.ndarray:

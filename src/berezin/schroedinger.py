@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from math import prod
 
 import numpy as np
 from scipy.signal import CZT
@@ -132,20 +133,35 @@ def _interpolation_matrix(lam: float, L: float, G: int, M: int) -> np.ndarray:
 
 def _expand_nodes(S: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     """Node values S, axes (a_1 b_1 a_2 b_2 ..), carried to the grid by B on
-    every axis, returned contiguous in grid order (a_1..a_n, b_1..b_n)."""
-    S = S.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    for _ in range(2 * n):  # first axis to grid, appended last
-        S = np.tensordot(S, B, axes=([0], [1]))
-    return S
+    every axis, returned contiguous in grid order (a_1..a_n, b_1..b_n).
+
+    B is real, so each axis is one real matmul of B with the float view of
+    the tensor, (outer, N, 2 inner) -> (outer, G, 2 inner): the axis is
+    contracted in place, with no transposed copy and no complex cast of B.
+    The last axis goes first, while the tensor is smallest.
+    """
+    G, N = B.shape
+    S = np.ascontiguousarray(
+        S.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))),
+        dtype=complex)
+    shape = list(S.shape)
+    X = S.view(float)
+    for axis in reversed(range(2 * n)):
+        X = np.matmul(B, X.reshape(prod(shape[:axis]), N,
+                                   2 * prod(shape[axis + 1:])))
+        shape[axis] = G
+    return X.view(complex).reshape(shape)
 
 
 def _guard_node_route(name: str, cfg: ModelConfig, own: int) -> None:
     """Refuse, before anything is computed, a node route whose working set
     exceeds the size guard.  The cached node table (c and conj(c).T) and B
     are held throughout, beside the largest of: the caller's node stage
-    (`own` complex entries), an expansion step of _expand_nodes (its input,
-    tensordot's copy of it and its output), and the output with
-    GridFunction's finiteness mask (1/16 of it)."""
+    (`own` complex entries), an expansion step of _expand_nodes (its input
+    twice and its output) and the output with 1/16 of it.  The last two
+    over-count: they keep the transposed input copy and the finiteness mask
+    of an earlier expansion and check, which are no longer made, so every
+    refusal stays where it was."""
     M, G, n = cfg.M, cfg.G, cfg.n
     N, points = 2 * M - 1, G ** (2 * n)
     _refuse_over_guard(name, points, 2 * M * N * N + N * G + max(

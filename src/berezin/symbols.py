@@ -16,11 +16,13 @@ and of sqrt(lam) b.  Its samples at the N x N Gauss-Hermite node pairs
 (G, N) interpolation matrix from the nodes to sqrt(lam) * grid.axis.  At
 n > 1 phi_x is a Kronecker product over axes, so S(A) is the same Tucker
 product: one contraction of A against the (N^2, M) node table per position
-axis, one B per phase-space axis.  The interpolation rounds at the scale of
-the node values, so the error is absolute, about eps * max|S| (measured
-<= 6e-15 max|S|): values in the Gaussian tail below that are rounding noise, not the
-relatively accurate tiny values of the coherent-table route
-(oracle.table_covariant_symbol).  The coefficient map (transforms) takes the
+axis, one B per phase-space axis.  B is real, so each phase-space axis is one
+real matrix product with the float view of the complex values, contracting
+that axis in place (schroedinger._expand_nodes).  The interpolation rounds
+at the scale of the node values, so the error is absolute, about
+eps * max|S| (measured <= 6e-15 max|S|): values in the Gaussian tail below
+that are rounding noise, not the relatively accurate tiny values of the
+coherent-table route (oracle.table_covariant_symbol).  The coefficient map (transforms) takes the
 same route at scale lam/2, through the helpers of the schroedinger module.
 
 The quadrature rule behind every integral identity is the grid measure

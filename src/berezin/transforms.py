@@ -27,7 +27,7 @@ import numpy as np
 import scipy.fft
 from scipy.special import roots_hermite
 
-from .core import GridFunction, HermiteState, PhaseGrid
+from .core import GridFunction, HermiteState, PhaseGrid, _require_finite
 from .schroedinger import (RepresentationContext, _expand_nodes,
                            _guard_node_route, _interpolation_matrix,
                            _laguerre_factors, _node_table)
@@ -49,8 +49,7 @@ class OrbitGridFunction:
         v = np.asarray(self.values, dtype=complex).ravel()
         if v.size != self.grid.num_points:
             raise ValueError("value count does not match grid size")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite values")
+        _require_finite(v)
         object.__setattr__(self, "values", v)
 
     @property
@@ -85,10 +84,14 @@ def orbit_inner(u: OrbitGridFunction, v: OrbitGridFunction) -> complex:
 
 
 @lru_cache(maxsize=8)
-def _checkerboard(ndim: int) -> np.ndarray:
-    """Read-only (-1)^(j_1+..+j_ndim) as a (1, 2) * ndim tensor of signs."""
-    signs = reduce(np.multiply.outer, [np.array([1.0, -1.0])] * ndim)
-    signs = signs.reshape((1, 2) * ndim)
+def _checkerboard(ndim: int, G: int) -> np.ndarray:
+    """Read-only (-1)^(j_1+..+j_ndim) as a (1, 2) * (ndim - 1) + (G,) tensor
+    of signs: pairs (j = 2p + q, sign (-1)^q) on the leading axes, the last
+    axis whole."""
+    row = np.where(np.arange(G) % 2, -1.0, 1.0)
+    signs = reduce(np.multiply.outer, [np.array([1.0, -1.0])] * (ndim - 1)
+                   + [row])
+    signs = signs.reshape((1, 2) * (ndim - 1) + (G,))
     signs.flags.writeable = False
     return signs
 
@@ -99,12 +102,13 @@ def _orbit_dft(vals: np.ndarray, sign: int, weight: float) -> np.ndarray:
     Per axis the kernel is (-1)^{G/2} (-1)^j (-1)^k e^{-sign 2 pi i jk/G}
     (module docstring); the 2n factors (-1)^{G/2} cancel, so the sum is one
     n-D FFT (sign=+1) or unnormalized inverse FFT (sign=-1) between two
-    checkerboards.  The checkerboard multiply makes the only new array; the
-    FFT and the final scaling run in place on it.
+    checkerboards.  The checkerboard keeps the last axis whole, so both sign
+    multiplies run over rows of length G.  The first multiply makes the only
+    new array; the FFT and the final scaling run in place on it.
     """
     G, ndim = vals.shape[0], vals.ndim
-    signs = _checkerboard(ndim)
-    pairs = vals.reshape((G // 2, 2) * ndim)  # j = 2p + q: sign (-1)^q
+    signs = _checkerboard(ndim, G)
+    pairs = vals.reshape((G // 2, 2) * (ndim - 1) + (G,))
     work = (pairs * signs).reshape(vals.shape)
     if sign > 0:
         work = scipy.fft.fftn(work, overwrite_x=True)

@@ -137,7 +137,8 @@ def test_n2_entangled_map_matches_table_oracle():
 
 def _node_route_need(M, G, n, own):
     # the cached node table and B, beside the node stage, the largest
-    # expansion step or the output with its finiteness mask
+    # expansion step or the output with 1/16 of it (the mask it no longer
+    # makes, still counted)
     N = 2 * M - 1
     return 2 * M * N * N + N * G + max(
         own, (2 * N + G) * max(N, G) ** (2 * n - 1), G ** (2 * n) * 17 // 16)

@@ -377,7 +377,7 @@ def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
 
 def test_wigner_guard_counts_both_tables(paths, capsys, monkeypatch):
     # the ambiguity table stays while the Wigner table is built beside it:
-    # both tables and their finiteness masks, 2 * G^2 * 17/16 at n = 1
+    # both tables with 1/16 of each, 2 * G^2 * 17/16 at n = 1
     cfg_path = paths["root"] / "cfg_M2_G64.json"
     save_config(cfg_path, default_config(lam=1.0, M=2, G=64))
     state_path = paths["root"] / "M2_state.csv"

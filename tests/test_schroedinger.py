@@ -9,8 +9,10 @@ import pytest
 from berezin import (HeisenbergElement, HermiteState, PhasePoint,
                      RepresentationContext, TruncationError, apply_group,
                      basis_state, coherent_state, default_config,
-                     gaussian_vector, hermite_columns, multiply, rep_matrix)
-from berezin.schroedinger import _position_quadrature, displacement_1d
+                     default_L, gaussian_vector, hermite_columns, multiply,
+                     rep_matrix)
+from berezin.schroedinger import (_expand_nodes, _interpolation_matrix,
+                                 _position_quadrature, displacement_1d)
 from berezin.oracle import (PositionGrid, displacement_element,
                             gauss_hermite_matrix_element,
                             oracle_matrix_element, synthesize)
@@ -272,3 +274,24 @@ def test_hermite_columns_vacuum_peak():
     i0 = np.argmin(np.abs(t))
     closed = (cfg.lam / np.pi) ** 0.25 * np.exp(-cfg.lam * t[i0] ** 2 / 2.0)
     assert H[i0, 0] == pytest.approx(closed, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,M,G", [(1, 8, 64), (2, 4, 12), (3, 2, 6)])
+def test_expand_nodes_matches_complex_axis_contractions(n, M, G):
+    # reference: node axes (a_1 b_1 ..) to grid order, then each axis
+    # contracted by einsum with a complex copy of B
+    N = 2 * M - 1
+    B = _interpolation_matrix(0.5, default_L(1.0, M), G, M)
+    rng = np.random.default_rng(40 + n)
+    S = (rng.standard_normal((N,) * (2 * n))
+         + 1j * rng.standard_normal((N,) * (2 * n)))
+    ref = S.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    Bc = B.astype(complex)
+    for axis in range(2 * n):
+        ref = np.moveaxis(np.einsum("gk,k...->g...", Bc,
+                                    np.moveaxis(ref, axis, 0)), 0, axis)
+    got = _expand_nodes(S, B, n)
+    assert got.shape == (G,) * (2 * n)
+    assert got.dtype == complex and got.flags.c_contiguous
+    assert np.abs(got - ref).max() <= 4e-15 * np.abs(got).max()
+    assert not B.flags.writeable

@@ -553,7 +553,8 @@ def test_frame_operator_and_reconstruct_build_no_table(no_table):
 
 def _symbol_need(M, G, n):
     # the cached node table and B, beside the last node step, the largest
-    # expansion step or the output with its finiteness mask
+    # expansion step or the output with 1/16 of it (the mask it no longer
+    # makes, still counted)
     N = 2 * M - 1
     return 2 * M * N * N + N * G + max(
         2 * M * N ** (2 * n), (2 * N + G) * max(N, G) ** (2 * n - 1),
@@ -561,7 +562,7 @@ def _symbol_need(M, G, n):
 
 
 def test_covariant_symbol_refuses_output_over_guard(monkeypatch):
-    # n = 1, M = 2, G = 128: the output and its mask, 17/16 G^2, are the
+    # n = 1, M = 2, G = 128: the output and 1/16 of it, 17/16 G^2, are the
     # largest term
     cx = RepresentationContext(default_config(lam=1.0, M=2, G=128))
     need = _symbol_need(2, 128, 1)
@@ -575,7 +576,7 @@ def test_covariant_symbol_refuses_output_over_guard(monkeypatch):
 
 def test_n2_covariant_symbol_guard_counts_the_expansion(monkeypatch):
     # n = 2, M = 5, G = 40: the last expansion step, (2N + G) G^3 (input,
-    # tensordot's copy, output), is the largest term
+    # the input again, output), is the largest term
     cx = RepresentationContext(default_config(n=2, lam=1.0, M=5, G=40))
     need = _symbol_need(5, 40, 2)
     assert need == 810 + 360 + 58 * 40 ** 3 == 3713170

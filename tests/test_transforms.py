@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from berezin import (GridFunction, HermiteState, ModelConfig, PhaseGrid,
                      RepresentationContext, basis_state, coefficient_map,
@@ -14,7 +15,7 @@ from berezin import (GridFunction, HermiteState, ModelConfig, PhaseGrid,
                      moyal_residual, orbit_inner, wigner)
 from berezin.oracle import oracle_double_sum_ft
 from berezin.schroedinger import ambiguity_batch
-from berezin.transforms import OrbitGridFunction
+from berezin.transforms import OrbitGridFunction, _orbit_dft
 
 
 @pytest.fixture(scope="module")
@@ -165,8 +166,9 @@ def test_n2_inverse_transform_working_set_is_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # measured 1.06x: one checkerboard-signed copy, FFT and scaling in place
-    # on it; the per-axis loop peaked at 3.0x
+    # measured 1.00x: one checkerboard-signed copy, FFT and scaling in place
+    # on it, and a finiteness check with no mask; the per-axis loop peaked
+    # at 3.0x
     assert peak <= 1.5 * W.values.nbytes
 
 
@@ -327,7 +329,55 @@ def test_n2_map_working_set_is_near_the_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # measured 1.23x: the last expansion step's input, tensordot's copy of
-    # it and the output; the node values are put in grid order before the
-    # expansion, so no transposed output copy (2.00x) is made
+    # measured 1.23x: the last expansion step's input and its output; the
+    # node values are put in grid order before the expansion, so no
+    # transposed output copy (2.00x) is made
     assert peak <= 1.3 * A.values.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("G", [6, 22, 40])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_orbit_dft_is_the_per_axis_checkerboard_fft(n, G, sign):
+    # G/2 odd (6, 22) and even (40): the full-row checkerboard is exact
+    rng = np.random.default_rng(50 + G + n)
+    vals = (rng.standard_normal((G,) * (2 * n))
+            + 1j * rng.standard_normal((G,) * (2 * n)))
+    weight = 0.37
+    axis = (-1.0) ** np.arange(G)
+    board = axis
+    for _ in range(2 * n - 1):
+        board = np.multiply.outer(board, axis)
+    fft = scipy.fft.fftn if sign > 0 else (
+        lambda x: scipy.fft.ifftn(x, norm="forward"))
+    ref = (weight * board) * fft(vals * board)
+    got = _orbit_dft(vals, sign, weight)
+    assert np.array_equal(got, ref)
+
+
+_NON_FINITE = [complex(np.nan, 0.0), complex(0.0, np.nan),
+               complex(np.inf, 0.0), complex(0.0, np.inf),
+               complex(-np.inf, 0.0), complex(0.0, -np.inf)]
+
+
+@pytest.mark.parametrize("cls", [GridFunction, OrbitGridFunction])
+def test_grid_functions_reject_non_finite_values(cls):
+    grid = PhaseGrid(n=1, lam=1.0, L=4.0, G=8)
+    for bad in _NON_FINITE:
+        for k in (0, 31, 63):
+            v = np.ones(64, dtype=complex)
+            v[k] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                cls(grid=grid, values=v)
+
+
+@pytest.mark.parametrize("cls", [GridFunction, OrbitGridFunction])
+def test_grid_functions_accept_extreme_finite_values(cls):
+    # a check that summed the values would overflow to inf on these
+    grid = PhaseGrid(n=1, lam=1.0, L=4.0, G=8)
+    tiny = np.nextafter(0.0, 1.0)
+    v = np.full(64, complex(1.7e308, -1.7e308))
+    v[1::2] = complex(-1.7e308, 1.7e308)
+    v[:4] = [tiny, -tiny, 1j * tiny, 1e-310 - 1e-310j]
+    got = cls(grid=grid, values=v)
+    assert np.array_equal(got.values, v)
