@@ -17,6 +17,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .core import ConfigError, HermiteState, OperatorMatrix, TruncationError
 from .io import (config_to_dict, load_config, read_operator_csv,
                  read_state_csv, write_grid_csv, write_run_manifest)
@@ -40,13 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path to the JSON model config")
         sp.add_argument("--out", default="./out",
                         help="output directory (default ./out)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
         sp.add_argument("--json", action="store_true",
                         help="machine-readable stdout instead of the table")
 
     sp = sub.add_parser("verify", help="run the full identity battery")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for randomized checks (default 0)")
     sp = sub.add_parser("symbol", help="covariant symbol of an operator")
     common(sp)
     sp.add_argument("--operator", required=True,
@@ -68,7 +70,7 @@ def _finish(cfg, args, outputs: list, summary: dict, doc: dict,
     """Write the run manifest, then print doc (--json) or text."""
     write_run_manifest(
         os.path.join(args.out, args.command + "_manifest.json"), cfg,
-        args.command, outputs, summary)
+        args.command, outputs, summary, getattr(args, "seed", None))
     print(json.dumps(doc, indent=2, sort_keys=True) if args.json else text)
 
 
@@ -100,10 +102,10 @@ def cmd_symbol(cfg, args) -> int:
 def cmd_wigner(cfg, args) -> int:
     f = HermiteState(read_state_csv(args.state, cfg.dim))
     ctx = RepresentationContext(cfg)
-    # the ambiguity table stays while the Wigner table is built beside it
+    # the ambiguity table, the Wigner table beside it and the ufunc buffer
     points = ctx.grid.num_points
     _refuse_over_guard("ambiguity and Wigner tables", points,
-                       2 * points * 17 // 16)
+                       2 * points + min(np.getbufsize(), points))
     amb = coefficient_map(ctx, f, gaussian_vector(cfg))
     wig = inverse_fourier_orbit(amb)
     amb_path = os.path.join(args.out, "ambiguity.csv")

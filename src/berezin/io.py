@@ -188,13 +188,15 @@ def _versions() -> dict:
 
 
 def write_run_manifest(path, cfg: ModelConfig, command: str, outputs: list,
-                       residual_summary: dict) -> None:
+                       residual_summary: dict, seed: int | None = None) -> None:
     doc = {"config": config_to_dict(cfg),
            "command": command,
            "outputs": [str(p) for p in outputs],
            "residual_summary": {k: float(v) for k, v in residual_summary.items()},
            "timestamp": datetime.now(timezone.utc).isoformat(),
            "versions": _versions()}
+    if seed is not None:
+        doc["seed"] = seed
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -37,24 +37,25 @@ from .core import (ModelConfig, HermiteState, OperatorMatrix, PhaseGrid,
                    TruncationError, build_grid, basis_state, hermite_columns)
 from .heisenberg import HeisenbergElement, PhasePoint
 
-# max complex entries of a grid-sized working set (_refuse_over_guard): the
-# coherent table's, the node routes' (_guard_node_route) and berezin wigner's
+# max complex entries of a grid-sized working set (_refuse_over_guard): each
+# count is the arrays its route holds at its peak, cached tables included
 _TABLE_LIMIT = 2 ** 24
 # table entries below this modulus are stored as exact zeros, so every product
 # of two entries is zero or a normal float (subnormal arithmetic is slow)
 _TABLE_FLOOR = 2.0 ** -511
 
 
-def _bargmann_columns(w, M: int) -> Iterator[np.ndarray]:
-    """C_d for d = 0..M-1 by the overflow-free C_d = C_{d-1} w / sqrt(d).
-
-    Entries below _TABLE_FLOOR are yielded as exact zeros; the recurrence
-    itself runs on the unflushed values.
-    """
+def _bargmann_columns(w, M: int) -> np.ndarray:
+    """C[..., d] = C_d(w), d < M, by the overflow-free C_d = C_{d-1} w/sqrt(d);
+    each column is flushed as it is stored (entries below _TABLE_FLOOR become
+    exact zeros), while the recurrence runs on the unflushed values."""
+    C = np.empty(np.shape(w) + (M,), dtype=complex)
     raw = np.exp(-0.5 * (w.real ** 2 + w.imag ** 2)).astype(complex)
     for d in range(M):
         raw = raw * (w / np.sqrt(d)) if d else raw
-        yield np.where(np.abs(raw) < _TABLE_FLOOR, 0.0, raw)
+        C[..., d] = raw
+        C[..., d][np.abs(raw) < _TABLE_FLOOR] = 0.0
+    return C
 
 
 @lru_cache(maxsize=8)
@@ -86,12 +87,11 @@ def _laguerre_factors(rho, M: int, d, steps: int) -> Iterator[np.ndarray]:
 def displacement_1d(lam: float, a, b, M: int) -> np.ndarray:
     """D[..., m, j] = (pi([a,b,0]) e_j | e_m) on one axis; a, b broadcast."""
     w = np.sqrt(lam / 2.0) * (np.asarray(a) + 1j * np.asarray(b))
-    C = np.stack(list(_bargmann_columns(w, M)), axis=-1)
     rho = (w.real ** 2 + w.imag ** 2)[..., None]
     ell = np.stack(list(_laguerre_factors(rho, M, slice(None), M - 1)), -1)
     m, j = np.indices((M, M))
     d = np.abs(m - j)
-    Cd = C[..., d]
+    Cd = _bargmann_columns(w, M)[..., d]
     return (np.where(m >= j, np.conj(Cd), (-1.0) ** d * Cd)
             * ell[..., d, np.minimum(m, j)])
 
@@ -104,7 +104,7 @@ def _node_table(M: int, root: float) -> tuple[np.ndarray, np.ndarray]:
     symbol, s = lam; 1 for the coefficient map, s = lam/2)."""
     x, _ = roots_hermite(2 * M - 1)
     w = ((x[:, None] + 1j * x[None, :]) / root).ravel()
-    c = np.stack(list(_bargmann_columns(w, M)), axis=-1)
+    c = _bargmann_columns(w, M)
     cbar_t = np.ascontiguousarray(c.conj().T)
     c.flags.writeable = False
     cbar_t.flags.writeable = False
@@ -155,17 +155,15 @@ def _expand_nodes(S: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
 
 def _guard_node_route(name: str, cfg: ModelConfig, own: int) -> None:
     """Refuse, before anything is computed, a node route whose working set
-    exceeds the size guard.  The cached node table (c and conj(c).T) and B
-    are held throughout, beside the largest of: the caller's node stage
-    (`own` complex entries), an expansion step of _expand_nodes (its input
-    twice and its output) and the output with 1/16 of it.  The last two
-    over-count: they keep the transposed input copy and the finiteness mask
-    of an earlier expansion and check, which are no longer made, so every
-    refusal stays where it was."""
+    exceeds the size guard: the cached node table (c and conj(c).T) and B,
+    beside the larger of the caller's node stage (`own` complex entries) and
+    the largest expansion step of _expand_nodes.  That step holds the
+    caller's node tensor (an unnamed argument too: CPython 3.10 frees it only
+    on return), its copy in grid order, and its own input and output."""
     M, G, n = cfg.M, cfg.G, cfg.n
-    N, points = 2 * M - 1, G ** (2 * n)
-    _refuse_over_guard(name, points, 2 * M * N * N + N * G + max(
-        own, (2 * N + G) * max(N, G) ** (2 * n - 1), points * 17 // 16))
+    N = 2 * M - 1
+    _refuse_over_guard(name, G ** (2 * n), 2 * M * N * N + N * G + max(
+        own, 2 * N ** (2 * n) + (N + G) * G * max(N, G) ** (2 * n - 2)))
 
 
 def _refuse_over_guard(name: str, points: int, need: int) -> None:
@@ -212,15 +210,13 @@ class RepresentationContext:
         """
         G, M, n = self.cfg.G, self.cfg.M, self.cfg.n
         table = self.grid.num_points * self.cfg.dim
-        # the (G^2, M) axis table with up to 6 (G, G) temporaries; at n > 1
-        # the table with the flush's modulus and mask of one a_1 block
+        # the (G^2, M) axis table, w and one recurrence step's three arrays;
+        # at n > 1 the table with the flush's modulus and mask of one a_1 block
         _refuse_over_guard("coherent table", self.grid.num_points,
-                           max(G * G * (M + 6), table + table // G))
+                           max(G * G * (M + 4), table + table // G))
         ax = self.grid.axis
         w = np.sqrt(self.cfg.lam / 2.0) * (ax[:, None] + 1j * ax[None, :])
-        C1 = np.empty((G * G, M), dtype=complex)
-        for m, col in enumerate(_bargmann_columns(w.ravel(), M)):
-            C1[:, m] = col
+        C1 = _bargmann_columns(w.ravel(), M)
         if n == 1:
             return C1
         # the rep factorizes over axes: C1, broadcast over axes (a_k, b_k, m_k)
@@ -347,5 +343,5 @@ def coherent_state(ctx: RepresentationContext, x: PhasePoint) -> HermiteState:
     ctx.check_displacement(x.a, x.b)
     s = np.sqrt(ctx.cfg.lam / 2.0)
     return HermiteState(reduce(np.kron, [
-        np.conj(np.stack(list(_bargmann_columns(s * (a + 1j * b), ctx.cfg.M))))
+        np.conj(_bargmann_columns(s * (a + 1j * b), ctx.cfg.M))
         for a, b in zip(x.a, x.b)]))

@@ -133,16 +133,16 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
     on its column index, giving S at the (2M-1)^{2n} node points.  Expansion:
     the node values in grid order (a_1..a_n, b_1..b_n), then the
     interpolation matrix B on each of the 2n axes.  Absolute error about
-    eps * max|S|.  The size guard counts the expansion and, for the last node
-    step, M (2M-1)^{2n} entries and the same again for its product with
-    conj(c).
+    eps * max|S|.  The size guard counts the expansion and the last node
+    step: the tensordot output, its product with conj(c) (M (2M-1)^{2n}
+    entries each) and their sum.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if A.dim != cfg.dim:
         raise ValueError("operator dimension mismatch")
     n, M = cfg.n, cfg.M
     N = 2 * M - 1
-    _guard_node_route("covariant symbol", cfg, 2 * M * N ** (2 * n))
+    _guard_node_route("covariant symbol", cfg, (2 * M + 1) * N ** (2 * n))
     c, cbar_t = _node_table(M, np.sqrt(2.0))
     S = A.entries.reshape((M,) * (2 * n))
     for k in range(n):  # axes (m_k.., j_k.., node pairs 1..k-1)

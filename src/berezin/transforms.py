@@ -142,7 +142,8 @@ def coefficient_map(ctx: RepresentationContext, f: HermiteState,
 
     Linear in f and conjugate-linear in phi.  The size guard counts the
     expansion and the last node step of _map_nodes: its input, the node
-    values, one term of them, the Laguerre factors and their temporaries.
+    values, one term of them, np.dot's copy of a diagonal of the input, the
+    Laguerre rows and temporaries, and the ufunc buffer of term *= scale.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if f.dim != cfg.dim or phi.dim != cfg.dim:
@@ -150,9 +151,9 @@ def coefficient_map(ctx: RepresentationContext, f: HermiteState,
     n, M = cfg.n, cfg.M
     N = 2 * M - 1
     _guard_node_route("coefficient map", cfg, (M * M + M + 2 * N * N)
-                      * N ** (2 * n - 2) + (M + 4) * N * N)
+                      * N ** (2 * n - 2) + (M + 4) * N * N
+                      + min(np.getbufsize(), N ** (2 * n)))
     B = _interpolation_matrix(grid.lam / 2.0, grid.L, cfg.G, M)
-    # left unnamed, the node values are freed after the first expansion step
     return GridFunction(grid=grid, values=_expand_nodes(
         _map_nodes(f.coeffs, phi.coeffs, M, n), B, n).reshape(-1))
 
@@ -180,13 +181,12 @@ def _map_nodes(f: np.ndarray, phi: np.ndarray, M: int, n: int) -> np.ndarray:
             diags = [(-d, c[:, d])]  # O[j+d, j] C_d
             if 0 < d <= J:  # O[j, j+d] (-1)^d conj(C_d), zero past the window
                 diags.append((d, (-1.0) ** d * cbar_t[d]))
-            for offset, scale in diags:
-                diag = np.diagonal(X, offset, 0, n - k)[..., :rows]
-                np.dot(diag.reshape(-1, rows), ell[:rows],
-                       out=term.reshape(-1, N * N))
+            for offset, scale in diags:  # the diagonal unnamed: X dies with k
+                np.dot(np.diagonal(X, offset, 0, n - k)[..., :rows].reshape(
+                    -1, rows), ell[:rows], out=term.reshape(-1, N * N))
                 term *= scale
                 nodes += term
-        X = nodes  # node pair k appended last
+        X, term = nodes, None  # node pair k appended last; term freed
     return X.reshape((N,) * (2 * n))
 
 

@@ -315,27 +315,68 @@ def test_verify_deterministic(paths):
     assert b1 == b2  # byte-identical residuals, not just approximate reruns
 
 
-def test_symbol_n2_beyond_symbol_guard_exits_2(paths, capsys):
+def test_verify_reruns_from_its_manifest(paths):
+    # the manifest's config and seed reproduce the residuals byte for byte;
+    # the seed matters: seed 0 gives other residuals
+    cfg_path = paths["root"] / "cfg_m2.json"
+    save_config(cfg_path, default_config(lam=1.0, M=2))
+    first, rerun, other = (paths["root"] / d for d in
+                           ("seed7", "seed7_rerun", "seed0"))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(first),
+                 "--seed", "7"]) == 0
+    doc = json.loads((first / "verify_manifest.json").read_text())
+    assert doc["seed"] == 7
+    cfg2 = paths["root"] / "cfg_from_manifest.json"
+    cfg2.write_text(json.dumps(doc["config"]))
+    assert main(["verify", "--config", str(cfg2), "--out", str(rerun),
+                 "--seed", str(doc["seed"])]) == 0
+    assert main(["verify", "--config", str(cfg2), "--out", str(other)]) == 0
+
+    def residuals(out):
+        doc = json.loads((out / "verify_manifest.json").read_text())
+        return json.dumps(doc["residual_summary"], sort_keys=True).encode()
+
+    assert residuals(rerun) == residuals(first) != residuals(other)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("symbol", ["--operator", "identity.csv"]),
+    ("wigner", ["--state", "e1.csv"]), ("report", [])])
+def test_seed_is_a_verify_flag_only(paths, command, extra, capsys):
+    extra = [str(paths["root"] / e) if e.endswith(".csv") else e
+             for e in extra]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(paths["cfg_path"]), "--seed", "1",
+              "--out", str(paths["root"] / "out_seed")] + extra)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_symbol_n2_beyond_symbol_guard_exits_2(paths, capsys, monkeypatch):
     # the symbol builds no coherent table, so M = 6, G = 22 (a table of
     # 8433216 complex entries) is served; its own bound is the last
-    # expansion step, (2N + G) G^3 with N = 11, and the cached node table and
-    # B: 17714112 > 2^24 at G = 60, refused before anything is built (G = 58
-    # needs 15611050 and is served)
+    # expansion step beside the cached node table and B: G = 60 needs
+    # 15367394 <= 2^24 and is served, G = 62 needs 17429360 and is refused
+    # before anything is built (G = 60 is not run: its CSV is 1.6 GB)
     op_path = paths["root"] / "n2_identity.csv"
     write_operator_csv(op_path, np.eye(36, dtype=complex))
-    codes = {}
-    for G in (22, 60):
+
+    def run(G):
         cfg = ModelConfig(n=2, lam=1.0, M=6, L=7.0, G=G, tol_identity=1e-6,
                           tol_quadrature=1e-5)
         cfg_path = paths["root"] / ("n2_G%d.json" % G)
         save_config(cfg_path, cfg)
-        codes[G] = main(["symbol", "--config", str(cfg_path), "--operator",
-                         str(op_path),
-                         "--out", str(paths["root"] / ("out_n2_G%d" % G))])
-    assert codes == {22: 0, 60: 2}
+        return main(["symbol", "--config", str(cfg_path), "--operator",
+                     str(op_path),
+                     "--out", str(paths["root"] / ("out_n2_G%d" % G))])
+
+    assert run(22) == 0 and run(62) == 2
     err = capsys.readouterr().err
-    assert "12960000 grid points needs 17714112" in err
+    assert "14776336 grid points needs 17429360" in err
     assert "size guard of 16777216" in err
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 0)
+    assert run(60) == 2
+    assert "12960000 grid points needs 15367394" in capsys.readouterr().err
     _, vals = read_grid_csv(paths["root"] / "out_n2_G22" / "berezin_symbol.csv")
     assert vals.size == 22 ** 4 and vals.real.max() < 1.0 + 1e-12
 
@@ -354,10 +395,10 @@ def test_unknown_subcommand_exits_2(paths):
 
 
 def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
-    # at G = 16 the largest term is the first expansion step (2N + G) N^3,
-    # N = 2M - 1, beside the cached node table and B: 18315528 complex
-    # entries at M = 27, over 2^24, refused before anything is allocated;
-    # M = 26 needs 15788886 and runs
+    # at G = 16 the largest term is the node tensor, its grid-order copy and
+    # the second expansion step, N = 2M - 1 > G, beside the cached node table
+    # and B: 19034632 complex entries at M = 27, over 2^24, refused before
+    # anything is allocated; M = 26 needs 16454742 and runs
     codes = {}
     for M in (26, 27):
         cfg = ModelConfig(n=2, lam=1.0, M=M, L=28.0, G=16, tol_identity=1e-6,
@@ -371,18 +412,19 @@ def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
                          "--out", str(paths["root"] / ("out_n2_M%d" % M))])
     assert codes == {26: 0, 27: 2}
     err = capsys.readouterr().err
-    assert "needs 18315528" in err and "size guard of 16777216" in err
+    assert "needs 19034632" in err and "size guard of 16777216" in err
     _, vals = read_grid_csv(paths["root"] / "out_n2_M26" / "ambiguity.csv")
     assert vals.size == 16 ** 4 and np.abs(vals).max() < 1.0 + 1e-12
 
 def test_wigner_guard_counts_both_tables(paths, capsys, monkeypatch):
-    # the ambiguity table stays while the Wigner table is built beside it:
-    # both tables with 1/16 of each, 2 * G^2 * 17/16 at n = 1
+    # the ambiguity table stays while the Wigner table is built beside it,
+    # and the orbit DFT takes a ufunc buffer of up to np.getbufsize()
+    # entries: 2 * 4096 + 4096 at n = 1, G = 64
     cfg_path = paths["root"] / "cfg_M2_G64.json"
     save_config(cfg_path, default_config(lam=1.0, M=2, G=64))
     state_path = paths["root"] / "M2_state.csv"
     write_state_csv(state_path, np.array([0.6, 0.8j]))
-    need = 2 * 64 ** 2 * 17 // 16
+    need = 12288
     codes = {}
     for limit in (need - 1, need):
         monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", limit)
@@ -391,25 +433,33 @@ def test_wigner_guard_counts_both_tables(paths, capsys, monkeypatch):
                              str(state_path), "--out", str(out)])
         assert os.path.isfile(out / "wigner.csv") == (limit == need)
     assert codes == {need - 1: 2, need: 0}
-    assert ("ambiguity and Wigner tables on 4096 grid points needs 8704 "
-            "complex entries, over the size guard of 8703"
+    assert ("ambiguity and Wigner tables on 4096 grid points needs 12288 "
+            "complex entries, over the size guard of 12287"
             in capsys.readouterr().err)
 
 
-def test_wigner_beyond_both_tables_guard_exits_2(paths, capsys):
-    # n = 1, M = 16: G = 2808 needs 16755336 <= 2^24; G = 2810 needs
-    # 16779212 and is refused up front, before the map is computed
-    cfg_path = paths["root"] / "cfg_G2810.json"
-    save_config(cfg_path, default_config(lam=1.0, M=16, G=2810))
+def test_wigner_beyond_both_tables_guard_exits_2(paths, capsys, monkeypatch):
+    # n = 1, M = 16: G = 2896 needs 16781824 and is refused up front, before
+    # the map is computed; G = 2894 needs 16758664 <= 2^24 (not run: its
+    # CSVs are 0.6 GB)
     state_path = paths["root"] / "M16_state.csv"
     write_state_csv(state_path, np.eye(16, dtype=complex)[0])
-    out = paths["root"] / "out_G2810"
-    assert main(["wigner", "--config", str(cfg_path), "--state",
-                 str(state_path), "--out", str(out)]) == 2
-    assert ("7896100 grid points needs 16779212 complex entries, over the "
+
+    def run(G):
+        cfg_path = paths["root"] / ("cfg_G%d.json" % G)
+        save_config(cfg_path, default_config(lam=1.0, M=16, G=G))
+        return main(["wigner", "--config", str(cfg_path), "--state",
+                     str(state_path), "--out",
+                     str(paths["root"] / ("out_G%d" % G))])
+
+    assert run(2896) == 2
+    assert ("8386816 grid points needs 16781824 complex entries, over the "
             "size guard of 16777216" in capsys.readouterr().err)
-    assert not os.path.exists(out / "ambiguity.csv")
-    assert 2 * 2808 ** 2 * 17 // 16 == 16755336 <= 2 ** 24
+    assert not os.path.exists(paths["root"] / "out_G2896" / "ambiguity.csv")
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 0)
+    assert run(2894) == 2
+    assert ("8375236 grid points needs 16758664 complex entries"
+            in capsys.readouterr().err)
 
 
 def test_report_sweep_beyond_svd_guard_exits_2_up_front(paths, capsys):

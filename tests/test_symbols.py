@@ -551,38 +551,39 @@ def test_frame_operator_and_reconstruct_build_no_table(no_table):
         assert np.abs(frame_operator(cx) - np.eye(8)).max() < 1e-14
 
 
-def _symbol_need(M, G, n):
-    # the cached node table and B, beside the last node step, the largest
-    # expansion step or the output with 1/16 of it (the mask it no longer
-    # makes, still counted)
-    N = 2 * M - 1
-    return 2 * M * N * N + N * G + max(
-        2 * M * N ** (2 * n), (2 * N + G) * max(N, G) ** (2 * n - 1),
-        G ** (2 * n) * 17 // 16)
+def test_covariant_symbol_guard_bounds_its_peak(guard_ctx, need_and_peak):
+    # the count bounds the cold-cache peak (64 KiB left for small objects)
+    # and, wherever G >= 2M - 1, exceeds it by at most 10 % (measured
+    # 1.00-1.06 on CPython 3.11)
+    cfg = guard_ctx.cfg
+    rng = np.random.default_rng(13)
+    A = OperatorMatrix(rng.standard_normal((cfg.dim, cfg.dim))
+                       + 1j * rng.standard_normal((cfg.dim, cfg.dim)))
+    need, peak = need_and_peak(lambda: covariant_symbol(guard_ctx, A))
+    assert peak <= 16 * need + 65536
+    if cfg.G >= 2 * cfg.M - 1:
+        assert 16 * need <= 1.10 * peak
 
 
 def test_covariant_symbol_refuses_output_over_guard(monkeypatch):
-    # n = 1, M = 2, G = 128: the output and 1/16 of it, 17/16 G^2, are the
-    # largest term
+    # n = 1, M = 2, G = 128: the last expansion step, input and output, is
+    # the largest term; refused one entry under its count, served at it
     cx = RepresentationContext(default_config(lam=1.0, M=2, G=128))
-    need = _symbol_need(2, 128, 1)
-    assert need == 36 + 3 * 128 + 128 ** 2 * 17 // 16 == 17828
+    need = 17206
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
-    with pytest.raises(MemoryError, match="16384 grid points needs 17828"):
+    with pytest.raises(MemoryError, match="16384 grid points needs 17206"):
         covariant_symbol(cx, identity_operator(2))
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
     assert covariant_symbol(cx, identity_operator(2)).values.size == 128 ** 2
 
 
 def test_n2_covariant_symbol_guard_counts_the_expansion(monkeypatch):
-    # n = 2, M = 5, G = 40: the last expansion step, (2N + G) G^3 (input,
-    # the input again, output), is the largest term
+    # n = 2, M = 5, G = 40: the last expansion step is the largest term
     cx = RepresentationContext(default_config(n=2, lam=1.0, M=5, G=40))
-    need = _symbol_need(5, 40, 2)
-    assert need == 810 + 360 + 58 * 40 ** 3 == 3713170
+    need = 3150292
     A = identity_operator(25)
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
-    with pytest.raises(MemoryError, match="2560000 grid points needs 3713170"):
+    with pytest.raises(MemoryError, match="2560000 grid points needs 3150292"):
         covariant_symbol(cx, A)
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
     tracemalloc.start()
@@ -591,18 +592,16 @@ def test_n2_covariant_symbol_guard_counts_the_expansion(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * need
     # measured 1.23x the output; 2.00x with the transposed output copy
     assert peak <= 1.3 * S.values.nbytes
 
 
 def test_covariant_symbol_refuses_node_stage_over_guard():
-    # a small grid but a large M: the last node step holds M (2M-1)^4
-    # entries, 2 * 24 * 47^4 = 234224688 with its product, over 2^24
+    # a small grid but a large M: the last node step holds (2M + 1) (2M-1)^4
+    # entries, 49 * 47^4 = 239104369, over 2^24 beside the cached tables
     cx = RepresentationContext(ModelConfig(n=2, lam=1.0, M=24, L=28.0, G=16,
                                            tol_quadrature=0.9))
-    assert _symbol_need(24, 16, 2) == 106032 + 752 + 234224688
-    with pytest.raises(MemoryError, match="needs 234331472 .* guard of 16777216"):
+    with pytest.raises(MemoryError, match="needs 239211153 .* guard of 16777216"):
         covariant_symbol(cx, identity_operator(24 ** 2))
 
 
