@@ -118,12 +118,11 @@ def cmd_wigner(cfg, args) -> int:
 
 
 def _parse_sweep(text: str) -> tuple:
-    parts = text.split("..")
-    try:
-        m1, m2 = (int(p) for p in parts)
+    try:  # a part count other than two fails the unpacking too
+        m1, m2 = (int(p) for p in text.split(".."))
     except ValueError as exc:
         raise ConfigError("--sweep expects M1..M2, got %r" % text) from exc
-    if len(parts) != 2 or m1 < 1 or m2 < m1:
+    if m1 < 1 or m2 < m1:
         raise ConfigError("--sweep expects 1 <= M1 <= M2, got %r" % text)
     return m1, m2
 

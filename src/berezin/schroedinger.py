@@ -11,7 +11,9 @@ pi(x) phi is column 0, conj(C_d) per axis, so coherent_state and the coherent
 table read the Bargmann columns C_d directly and build no matrix; rep_matrix
 builds its matrix per query (nothing is cached) and apply_group applies the
 displacement_1d factors axis by axis without building it.
-ambiguity_batch's chirp-z quadrature is the oracle of all of them.
+ambiguity_batch's chirp-z quadrature is the oracle of all of them; it imports
+scipy.signal on its first call, so importing this module loads only
+scipy.special (and numpy).
 
 The coefficient map and the covariant symbol take their values at the
 Gauss-Hermite node pairs from _node_table and carry them to the grid with one
@@ -30,7 +32,6 @@ from functools import lru_cache, reduce
 from math import prod
 
 import numpy as np
-from scipy.signal import CZT
 from scipy.special import roots_hermite
 
 from .core import (ModelConfig, HermiteState, OperatorMatrix, PhaseGrid,
@@ -138,14 +139,14 @@ def _expand_nodes(S: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     B is real, so each axis is one real matmul of B with the float view of
     the tensor, (outer, N, 2 inner) -> (outer, G, 2 inner): the axis is
     contracted in place, with no transposed copy and no complex cast of B.
-    The last axis goes first, while the tensor is smallest.
+    The last axis goes first, while the tensor is smallest.  The grid-order
+    copy of S is bound only through X, so it is freed with the first step's
+    input.
     """
     G, N = B.shape
-    S = np.ascontiguousarray(
-        S.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))),
-        dtype=complex)
-    shape = list(S.shape)
-    X = S.view(float)
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    shape = [S.shape[i] for i in order]
+    X = np.ascontiguousarray(S.transpose(order), dtype=complex).view(float)
     for axis in reversed(range(2 * n)):
         X = np.matmul(B, X.reshape(prod(shape[:axis]), N,
                                    2 * prod(shape[axis + 1:])))
@@ -157,13 +158,16 @@ def _guard_node_route(name: str, cfg: ModelConfig, own: int) -> None:
     """Refuse, before anything is computed, a node route whose working set
     exceeds the size guard: the cached node table (c and conj(c).T) and B,
     beside the larger of the caller's node stage (`own` complex entries) and
-    the largest expansion step of _expand_nodes.  That step holds the
+    the largest expansion step of _expand_nodes.  Every step holds the
     caller's node tensor (an unnamed argument too: CPython 3.10 frees it only
-    on return), its copy in grid order, and its own input and output."""
+    on return) and its own input and output; the first step's input is the
+    tensor's copy in grid order, freed once that step is done."""
     M, G, n = cfg.M, cfg.G, cfg.n
     N = 2 * M - 1
+    nodes = N ** (2 * n)
     _refuse_over_guard(name, G ** (2 * n), 2 * M * N * N + N * G + max(
-        own, 2 * N ** (2 * n) + (N + G) * G * max(N, G) ** (2 * n - 2)))
+        own, 2 * nodes + nodes // N * G,
+        nodes + (N + G) * G * max(N, G) ** (2 * n - 2)))
 
 
 def _refuse_over_guard(name: str, points: int, need: int) -> None:
@@ -261,6 +265,10 @@ def ambiguity_batch(ctx: RepresentationContext, F: np.ndarray,
     e^{i lam b_k t_p} = e^{i lam b_k t_0} e^{-i lam (G/2) h s p} w^{pk},
     w = e^{i lam h s}.  One CZT call batches all (a, batch) pairs.
     """
+    # on demand: scipy.signal pulls in most of scipy, and only this oracle
+    # needs it, so `import berezin` does not pay for it
+    from scipy.signal import CZT
+
     cfg, grid = ctx.cfg, ctx.grid
     lam, G, M = cfg.lam, cfg.G, cfg.M
     t, s = _position_quadrature(cfg)

@@ -6,6 +6,9 @@ import tracemalloc
 from contextlib import contextmanager
 
 import pytest
+# roots_hermite imports scipy.linalg on its first call; loaded here, that
+# one-time import is not counted in the tracemalloc peak of the routes
+import scipy.linalg  # noqa: F401
 
 from berezin import (ModelConfig, RepresentationContext, default_L,
                      schroedinger)

@@ -293,12 +293,15 @@ def test_report_under_determined(paths, capsys):
     assert "under-determined" in capsys.readouterr().err
 
 
-def test_report_bad_sweep(paths, capsys):
+@pytest.mark.parametrize("sweep", ["1..2..3", "5", "..", "a..b", "0..2",
+                                   "4..1"])
+def test_report_bad_sweep(paths, capsys, sweep):
+    out = paths["root"] / "out_badsweep"
     rc = main(["report", "--config", str(paths["cfg_path"]),
-               "--out", str(paths["root"] / "out_badsweep"),
-               "--sweep", "4..1"])
+               "--out", str(out), "--sweep", sweep])
     assert rc == 2
-    assert "sweep" in capsys.readouterr().err
+    assert "--sweep" in capsys.readouterr().err
+    assert not os.path.exists(out / "injectivity.json")
 
 
 def test_verify_deterministic(paths):
@@ -356,7 +359,7 @@ def test_symbol_n2_beyond_symbol_guard_exits_2(paths, capsys, monkeypatch):
     # the symbol builds no coherent table, so M = 6, G = 22 (a table of
     # 8433216 complex entries) is served; its own bound is the last
     # expansion step beside the cached node table and B: G = 60 needs
-    # 15367394 <= 2^24 and is served, G = 62 needs 17429360 and is refused
+    # 15352753 <= 2^24 and is served, G = 62 needs 17414719 and is refused
     # before anything is built (G = 60 is not run: its CSV is 1.6 GB)
     op_path = paths["root"] / "n2_identity.csv"
     write_operator_csv(op_path, np.eye(36, dtype=complex))
@@ -372,11 +375,11 @@ def test_symbol_n2_beyond_symbol_guard_exits_2(paths, capsys, monkeypatch):
 
     assert run(22) == 0 and run(62) == 2
     err = capsys.readouterr().err
-    assert "14776336 grid points needs 17429360" in err
+    assert "14776336 grid points needs 17414719" in err
     assert "size guard of 16777216" in err
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 0)
     assert run(60) == 2
-    assert "12960000 grid points needs 15367394" in capsys.readouterr().err
+    assert "12960000 grid points needs 15352753" in capsys.readouterr().err
     _, vals = read_grid_csv(paths["root"] / "out_n2_G22" / "berezin_symbol.csv")
     assert vals.size == 22 ** 4 and vals.real.max() < 1.0 + 1e-12
 
@@ -396,9 +399,9 @@ def test_unknown_subcommand_exits_2(paths):
 
 def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
     # at G = 16 the largest term is the node tensor, its grid-order copy and
-    # the second expansion step, N = 2M - 1 > G, beside the cached node table
-    # and B: 19034632 complex entries at M = 27, over 2^24, refused before
-    # anything is allocated; M = 26 needs 16454742 and runs
+    # the first expansion step's output, N = 2M - 1 > G, beside the cached
+    # node table and B: 18315528 complex entries at M = 27, over 2^24,
+    # refused before anything is allocated; M = 26 needs 15788886 and runs
     codes = {}
     for M in (26, 27):
         cfg = ModelConfig(n=2, lam=1.0, M=M, L=28.0, G=16, tol_identity=1e-6,
@@ -412,7 +415,7 @@ def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
                          "--out", str(paths["root"] / ("out_n2_M%d" % M))])
     assert codes == {26: 0, 27: 2}
     err = capsys.readouterr().err
-    assert "needs 19034632" in err and "size guard of 16777216" in err
+    assert "needs 18315528" in err and "size guard of 16777216" in err
     _, vals = read_grid_csv(paths["root"] / "out_n2_M26" / "ambiguity.csv")
     assert vals.size == 16 ** 4 and np.abs(vals).max() < 1.0 + 1e-12
 

@@ -569,9 +569,9 @@ def test_covariant_symbol_refuses_output_over_guard(monkeypatch):
     # n = 1, M = 2, G = 128: the last expansion step, input and output, is
     # the largest term; refused one entry under its count, served at it
     cx = RepresentationContext(default_config(lam=1.0, M=2, G=128))
-    need = 17206
+    need = 17197
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
-    with pytest.raises(MemoryError, match="16384 grid points needs 17206"):
+    with pytest.raises(MemoryError, match="16384 grid points needs 17197"):
         covariant_symbol(cx, identity_operator(2))
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
     assert covariant_symbol(cx, identity_operator(2)).values.size == 128 ** 2
@@ -580,10 +580,10 @@ def test_covariant_symbol_refuses_output_over_guard(monkeypatch):
 def test_n2_covariant_symbol_guard_counts_the_expansion(monkeypatch):
     # n = 2, M = 5, G = 40: the last expansion step is the largest term
     cx = RepresentationContext(default_config(n=2, lam=1.0, M=5, G=40))
-    need = 3150292
+    need = 3143731
     A = identity_operator(25)
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
-    with pytest.raises(MemoryError, match="2560000 grid points needs 3150292"):
+    with pytest.raises(MemoryError, match="2560000 grid points needs 3143731"):
         covariant_symbol(cx, A)
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
     tracemalloc.start()
