@@ -2,13 +2,15 @@
 
 Everything downstream (representation, transforms, symbols) works on one shared
 phase-space discretization: a uniform tensor grid on [-L, L)^{2n} carrying the
-normalized measure density * Lebesgue with density = (lambda/(2*pi))**n.  States
+normalized measure density * Lebesgue with density = (lambda/(2*pi))**n.
+Samples on it and on the orbit's lattice are one type, GridFunction, whose
+axis and weight give the lattice; inner_l2 pairs samples on one lattice.  States
 live in a lambda-scaled Hermite basis truncated to M modes per axis, operators
 are dense (M**n x M**n) matrices in that basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +61,9 @@ class ModelConfig:
             raise ConfigError("L must be a positive finite real")
         if int(self.G) != self.G or self.G < 2 or self.G % 2 != 0:
             raise ConfigError("G must be an even integer >= 2")
-        if not (self.tol_identity > 0 and self.tol_quadrature > 0):
-            raise ConfigError("tolerances must be positive")
+        for key in ("tol_identity", "tol_quadrature"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ConfigError("%s must be a positive finite real" % key)
         validate_grid_resolution(self)
 
     @property
@@ -158,10 +161,6 @@ class PhaseGrid:
     def total_measure(self) -> float:
         return self.density * (2.0 * self.L) ** (2 * self.n)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PhaseGrid) and self.n == other.n
-                and self.lam == other.lam and self.L == other.L and self.G == other.G)
-
 
 def build_grid(cfg: ModelConfig) -> PhaseGrid:
     """Phase-space grid for a configuration (validated at construction)."""
@@ -258,7 +257,9 @@ def _require_finite(values: np.ndarray) -> None:
 
 @dataclass
 class GridFunction:
-    """Complex samples of a phase-space function, one value per grid point."""
+    """Complex samples on a lattice, one value per grid point, row-major over
+    the 2n axes.  Here the lattice is the phase grid (axis grid.axis, weight
+    density * cell_weight); transforms.OrbitGridFunction overrides both."""
 
     grid: PhaseGrid
     values: np.ndarray
@@ -270,19 +271,27 @@ class GridFunction:
         _require_finite(v)
         object.__setattr__(self, "values", v)
 
+    @property
+    def axis(self) -> np.ndarray:
+        return self.grid.axis
+
+    @property
+    def weight(self) -> float:
+        return self.grid.density * self.grid.cell_weight
+
     def reshape(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
 
     def norm(self) -> float:
-        return float(np.sqrt(self.grid.density * self.grid.cell_weight
-                             * np.sum(np.abs(self.values) ** 2)))
+        return float(np.sqrt(self.weight * np.sum(np.abs(self.values) ** 2)))
 
 
 def inner_l2(u: GridFunction, v: GridFunction) -> complex:
-    """Discrete L2 pairing with the grid measure, linear in u."""
-    if u.grid != v.grid:
+    """Discrete L2 pairing of samples on one lattice with its measure, linear
+    in u; samples of different types or grids sit on different lattices."""
+    if type(u) is not type(v) or u.grid != v.grid:
         raise ValueError("grid mismatch")
-    return complex(u.grid.density * u.grid.cell_weight * np.vdot(v.values, u.values))
+    return complex(u.weight * np.vdot(v.values, u.values))
 
 
 def hs_inner(A: OperatorMatrix, B: OperatorMatrix) -> complex:

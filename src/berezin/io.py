@@ -80,12 +80,10 @@ def _csv_header(n: int) -> str:
 
 
 def write_grid_csv(path, fn, quantity: str, cfg: ModelConfig) -> list:
-    """CSV rows `a1,..,bn,re,im` in grid order plus a sidecar manifest;
-    returns the two paths written."""
+    """CSV rows `a1,..,bn,re,im` in grid order at the coordinates fn.axis of
+    its lattice, plus a sidecar manifest; returns the two paths written."""
     grid = fn.grid
-    # orbit functions sit on the dual lattice, under the same header
-    axis = fn.xi_axis if hasattr(fn, "xi_axis") else grid.axis
-    coords = ["%.17g," % v for v in axis.tolist()]
+    coords = ["%.17g," % v for v in fn.axis.tolist()]
     # np.savetxt's bytes: rows over the last k axes share one template, and
     # one `%` fills a block with its interleaved re,im floats
     k = 1 + sum(grid.G ** j <= _BLOCK_ROWS for j in range(2, 2 * grid.n + 1))

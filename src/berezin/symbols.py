@@ -156,9 +156,8 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
 
 def trace_identity_residual(ctx: RepresentationContext, A: OperatorMatrix) -> float:
     """|trace(A) - int covariant_symbol(A) dmu|."""
-    vals = covariant_symbol(ctx, A).values
-    dd = ctx.grid.density * ctx.grid.cell_weight
-    return float(abs(np.trace(A.entries) - dd * np.sum(vals)))
+    S = covariant_symbol(ctx, A)
+    return float(abs(np.trace(A.entries) - S.weight * np.sum(S.values)))
 
 
 def hs_identity_residual(ctx: RepresentationContext, A: OperatorMatrix) -> float:

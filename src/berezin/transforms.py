@@ -9,8 +9,10 @@ eps * ||f|| ||phi||: tail values below that are rounding noise.
 
 The orbit carries Lebesgue measure in (alpha, beta) coordinates scaled by
 orbit_density = (2 pi lam)^{-n}; phase space carries (lam/2 pi)^n * Lebesgue.
-Orbit samples live on the reciprocal lattice xi_j = (j - G/2) * eta with
-eta = 2 pi / (G h).  On that lattice the kernel e^{-i xi_j x_k} of one axis is
+Orbit samples (OrbitGridFunction, a GridFunction with the orbit's axis and
+weight) live on the reciprocal lattice xi_j = (j - G/2) * eta with
+eta = 2 pi / (G h); each transform refuses samples on the other lattice.  On
+that lattice the kernel e^{-i xi_j x_k} of one axis is
 (-1)^{G/2} (-1)^j (-1)^k e^{-2 pi i jk/G} (G is even, PhaseGrid enforces it);
 over the 2n axes the factors (-1)^{G/2} cancel, so the transform is one n-D
 FFT between two checkerboards (-1)^{j_1+..+j_2n} (_orbit_dft).  The weighted
@@ -20,37 +22,26 @@ unitarity (alias ghosts) because h^2 G / 2 pi is not an integer in general.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.fft
 from scipy.special import roots_hermite
 
-from .core import GridFunction, HermiteState, PhaseGrid, _require_finite
+from .core import GridFunction, HermiteState, inner_l2
 from .schroedinger import (RepresentationContext, _expand_nodes,
                            _guard_node_route, _interpolation_matrix,
                            _laguerre_factors, _node_table)
 
 
-@dataclass
-class OrbitGridFunction:
+class OrbitGridFunction(GridFunction):
     """Samples of a function on the flat orbit, on the reciprocal lattice.
 
     grid is the underlying phase grid (chart bookkeeping: same G, same n);
-    the orbit's own axis is xi_axis with step eta = 2 pi / (G h).  values are
-    row-major over (alpha_1..alpha_n, beta_1..beta_n), like GridFunction.
+    the orbit's own axis is xi_axis with step eta = 2 pi / (G h), and one
+    sample weighs orbit_density * eta^{2n}.  Everything else (validation,
+    reshape, norm, the pairing inner_l2) is GridFunction's.
     """
-
-    grid: PhaseGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).ravel()
-        if v.size != self.grid.num_points:
-            raise ValueError("value count does not match grid size")
-        _require_finite(v)
-        object.__setattr__(self, "values", v)
 
     @property
     def eta(self) -> float:
@@ -68,19 +59,16 @@ class OrbitGridFunction:
     def cell_weight(self) -> float:
         return self.eta ** (2 * self.grid.n)
 
-    def reshape(self) -> np.ndarray:
-        return self.values.reshape(self.grid.shape)
+    @property
+    def axis(self) -> np.ndarray:
+        return self.xi_axis
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.orbit_density * self.cell_weight
-                             * np.sum(np.abs(self.values) ** 2)))
+    @property
+    def weight(self) -> float:
+        return self.orbit_density * self.cell_weight
 
 
-def orbit_inner(u: OrbitGridFunction, v: OrbitGridFunction) -> complex:
-    """L2 pairing on the orbit with its Liouville normalization, linear in u."""
-    if u.grid != v.grid:
-        raise ValueError("grid mismatch")
-    return complex(u.orbit_density * u.cell_weight * np.vdot(v.values, u.values))
+orbit_inner = inner_l2  # one pairing; it refuses samples on the other lattice
 
 
 @lru_cache(maxsize=8)
@@ -126,13 +114,17 @@ def fourier_orbit(a: OrbitGridFunction) -> GridFunction:
     orbit_density * density * (eta h G)^{2n} = 1 holds exactly because
     eta h G = 2 pi.
     """
-    vals = _orbit_dft(a.reshape(), +1, a.orbit_density * a.cell_weight)
+    if type(a) is not OrbitGridFunction:
+        raise ValueError("fourier_orbit takes samples on the orbit lattice")
+    vals = _orbit_dft(a.reshape(), +1, a.weight)
     return GridFunction(grid=a.grid, values=vals.ravel())
 
 
 def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
     """Two-sided inverse of fourier_orbit (exact at the discrete level)."""
-    vals = _orbit_dft(F.reshape(), -1, F.grid.density * F.grid.cell_weight)
+    if type(F) is not GridFunction:
+        raise ValueError("inverse_fourier_orbit takes samples on the phase grid")
+    vals = _orbit_dft(F.reshape(), -1, F.weight)
     return OrbitGridFunction(grid=F.grid, values=vals.ravel())
 
 
@@ -203,13 +195,11 @@ def moyal_residual(ctx: RepresentationContext,
 
     Returns (ambiguity-side residual, Wigner-side residual).
     """
-    from .core import inner_l2
-
     target = f1.inner(f2) * np.conj(phi1.inner(phi2))
     A1 = coefficient_map(ctx, f1, phi1)
     A2 = coefficient_map(ctx, f2, phi2)
     amb = abs(inner_l2(A1, A2) - target)
     W1 = inverse_fourier_orbit(A1)
     W2 = inverse_fourier_orbit(A2)
-    wig = abs(orbit_inner(W1, W2) - target)
+    wig = abs(inner_l2(W1, W2) - target)
     return float(amb), float(wig)

@@ -25,7 +25,7 @@ from .symbols import (build_symbol_map, covariance_residual, covariant_symbol,
                       hs_identity_residual, onb_expansion_check, reconstruct,
                       trace_identity_residual)
 from .transforms import (OrbitGridFunction, coefficient_map, fourier_orbit,
-                         inverse_fourier_orbit, orbit_inner)
+                         inverse_fourier_orbit)
 
 
 @dataclass
@@ -123,7 +123,7 @@ def run_verification(cfg: ModelConfig, seed: int = 0) -> VerificationReport:
         for j in range(i, 6):
             target = 1.0 if i == j else 0.0
             amb_res = max(amb_res, abs(inner_l2(ambs[i], ambs[j]) - target))
-            wig_res = max(wig_res, abs(orbit_inner(wigs[i], wigs[j]) - target))
+            wig_res = max(wig_res, abs(inner_l2(wigs[i], wigs[j]) - target))
     add("moyal_ambiguity", amb_res, 1e-6, detail="pairs from e0..e5, window phi")
     add("moyal_wigner", wig_res, 1e-6, detail="same pairs through the Wigner side")
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import berezin
-from berezin import ModelConfig, default_config, schroedinger
+from berezin import ConfigError, ModelConfig, default_config, schroedinger
 from berezin.cli import main
-from berezin.io import read_grid_csv, save_config, write_operator_csv, \
-    write_state_csv
+from berezin.io import load_config, read_grid_csv, save_config, \
+    write_operator_csv, write_state_csv
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +79,25 @@ def test_verify_rejects_coarse_grid(paths, capsys):
                "--out", str(paths["root"] / "out_g8")])
     assert rc == 2
     assert "too coarse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["tol_identity", "tol_quadrature"])
+@pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "NaN"])
+def test_verify_rejects_non_finite_tolerance(paths, capsys, key, raw):
+    # with "tol_quadrature": Infinity this G = 8 grid (h = 5.7) passed the
+    # grid validation and verify exited 0
+    data = {"n": 1, "lambda": 1.0, "M": 16, "L": 22.978250586152114, "G": 8,
+            "tol_identity": 1e-6, "tol_quadrature": 1e-5, key: "RAW"}
+    cfg_path = paths["root"] / "cfg_tol.json"
+    cfg_path.write_text(json.dumps(data).replace('"RAW"', raw))
+    message = "%s must be a positive finite real" % key
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg_path)
+    out = paths["root"] / "out_tol"
+    rc = main(["verify", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "verify_manifest.json").exists()
 
 
 def test_verify_rejects_unknown_key(paths, capsys):

@@ -32,6 +32,19 @@ def test_config_rejects_bad_fields():
                     tol_identity=1e-6, tol_quadrature=1e-5)
 
 
+@pytest.mark.parametrize("key", ["tol_identity", "tol_quadrature"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1e-5])
+def test_config_rejects_tolerance_outside_zero_to_inf(key, bad):
+    # tol_quadrature = inf switched the grid validation off, so this G = 8
+    # grid (h = 5.7) validated; tol_identity = inf passed coherent_norm always
+    kw = dict(n=1, lam=1.0, M=16, L=default_L(1.0, 16), G=8,
+              tol_identity=1e-6, tol_quadrature=1e-5)
+    kw[key] = bad
+    with pytest.raises(ConfigError,
+                       match="%s must be a positive finite real" % key):
+        ModelConfig(**kw)
+
+
 def test_grid_validation_too_coarse():
     with pytest.raises(ConfigError, match="too coarse"):
         default_config(lam=1.0, G=8)

@@ -34,6 +34,13 @@ def test_dual_lattice_geometry(ctx):
     assert a.eta == pytest.approx(2.0 * np.pi / (grid.G * grid.h))
     assert a.orbit_density == pytest.approx(1.0 / (2.0 * np.pi * grid.lam))
     assert a.xi_axis[grid.G // 2] == 0.0
+    # the sample type reads its lattice from axis and weight
+    assert np.array_equal(a.axis, a.xi_axis)
+    assert a.weight == a.orbit_density * a.cell_weight
+    assert a.cell_weight == pytest.approx(a.eta ** 2)
+    F = GridFunction(grid=grid, values=a.values)
+    assert np.array_equal(F.axis, grid.axis)
+    assert F.weight == grid.density * grid.cell_weight
 
 
 def test_coefficient_map_center_values(ctx):
@@ -369,6 +376,41 @@ def test_grid_functions_reject_non_finite_values(cls):
             v[k] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 cls(grid=grid, values=v)
+
+
+def _on_both_lattices(first):
+    """The same samples on the phase grid and on the orbit lattice, `first`'s
+    lattice first."""
+    grid = PhaseGrid(n=1, lam=1.0, L=4.0, G=8)
+    v = np.arange(64) + 1j
+    other = OrbitGridFunction if first is GridFunction else GridFunction
+    return first(grid=grid, values=v), other(grid=grid, values=v)
+
+
+def test_orbit_inner_is_inner_l2():
+    assert orbit_inner is inner_l2
+
+
+@pytest.mark.parametrize("pairing", [inner_l2, orbit_inner])
+@pytest.mark.parametrize("cls", [GridFunction, OrbitGridFunction])
+def test_pairing_refuses_samples_on_two_lattices(pairing, cls):
+    # both pairings read one weight and paired the values anyway: for the
+    # vacuum on the default config inner_l2(ambiguity, wigner) gave 2.53 and
+    # orbit_inner(wigner, ambiguity) 0.367
+    u, v = _on_both_lattices(cls)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        pairing(u, v)
+    assert pairing(u, u) == pytest.approx(u.norm() ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("transform, cls", [
+    (fourier_orbit, GridFunction), (inverse_fourier_orbit, OrbitGridFunction)])
+def test_orbit_transforms_refuse_samples_on_the_other_lattice(transform, cls):
+    # inverse_fourier_orbit took orbit samples with the phase-grid weight;
+    # fourier_orbit failed on phase-grid samples with an AttributeError
+    u, _ = _on_both_lattices(cls)
+    with pytest.raises(ValueError, match="takes samples on the"):
+        transform(u)
 
 
 @pytest.mark.parametrize("cls", [GridFunction, OrbitGridFunction])
