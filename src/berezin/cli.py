@@ -17,15 +17,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .core import ConfigError, HermiteState, OperatorMatrix, TruncationError
 from .io import (config_to_dict, load_config, read_operator_csv,
                  read_state_csv, write_grid_csv, write_run_manifest)
-from .schroedinger import (RepresentationContext, _refuse_over_guard,
+from .schroedinger import (RepresentationContext, _guard_node_route,
                            gaussian_vector)
 from .symbols import check_symbol_map, covariant_symbol, injectivity_report
-from .transforms import coefficient_map, inverse_fourier_orbit
+from .transforms import (_map_node_stage, coefficient_map,
+                         inverse_fourier_orbit)
 from .verify import run_verification
 
 
@@ -102,10 +101,10 @@ def cmd_symbol(cfg, args) -> int:
 def cmd_wigner(cfg, args) -> int:
     f = HermiteState(read_state_csv(args.state, cfg.dim))
     ctx = RepresentationContext(cfg)
-    # the ambiguity table, the Wigner table beside it and the ufunc buffer
-    points = ctx.grid.num_points
-    _refuse_over_guard("ambiguity and Wigner tables", points,
-                       2 * points + min(np.getbufsize(), points))
+    # the map's node stage, or the Wigner side's node expansion beside the
+    # ambiguity table and its factor FB (G x N), refused before either runs
+    _guard_node_route("ambiguity and Wigner tables", cfg, _map_node_stage(cfg),
+                      ctx.grid.num_points + cfg.G * (2 * cfg.M - 1))
     amb = coefficient_map(ctx, f, gaussian_vector(cfg))
     wig = inverse_fourier_orbit(amb)
     amb_path = os.path.join(args.out, "ambiguity.csv")

@@ -10,7 +10,7 @@ are dense (M**n x M**n) matrices in that basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,14 +53,9 @@ class ModelConfig:
                 raise ConfigError("%s must not exceed %d" % (key, ceiling))
         if int(self.n) != self.n or self.n < 1:
             raise ConfigError("n must be a positive integer")
-        if not (self.lam > 0 and np.isfinite(self.lam)):
-            raise ConfigError("lambda must be a positive finite real")
         if int(self.M) != self.M or self.M < 1:
             raise ConfigError("M must be a positive integer")
-        if not (self.L > 0 and np.isfinite(self.L)):
-            raise ConfigError("L must be a positive finite real")
-        if int(self.G) != self.G or self.G < 2 or self.G % 2 != 0:
-            raise ConfigError("G must be an even integer >= 2")
+        _validate_lattice(self.lam, self.L, self.G)
         for key in ("tol_identity", "tol_quadrature"):
             if not 0 < getattr(self, key) < np.inf:
                 raise ConfigError("%s must be a positive finite real" % key)
@@ -84,6 +79,18 @@ def default_config(n: int = 1, lam: float = 1.0, M: int = 16, L: float | None = 
         L = default_L(lam, M)
     return ModelConfig(n=n, lam=lam, M=M, L=L, G=G,
                        tol_identity=tol_identity, tol_quadrature=tol_quadrature)
+
+
+def _validate_lattice(lam: float, L: float, G: int) -> None:
+    """ConfigError naming the bound unless lambda and L are positive finite
+    reals and G is an even integer >= 2 (the orbit Fourier transform's
+    checkerboard kernel needs G even)."""
+    if not (lam > 0 and np.isfinite(lam)):
+        raise ConfigError("lambda must be a positive finite real")
+    if not (L > 0 and np.isfinite(L)):
+        raise ConfigError("L must be a positive finite real")
+    if int(G) != G or G < 2 or G % 2 != 0:
+        raise ConfigError("G must be an even integer >= 2")
 
 
 def validate_grid_resolution(cfg: ModelConfig) -> None:
@@ -124,9 +131,7 @@ class PhaseGrid:
     G: int
 
     def __post_init__(self):
-        # the orbit Fourier transform's checkerboard kernel needs G even
-        if int(self.G) != self.G or self.G < 2 or self.G % 2 != 0:
-            raise ConfigError("G must be an even integer >= 2")
+        _validate_lattice(self.lam, self.L, self.G)
 
     @property
     def h(self) -> float:
@@ -255,14 +260,25 @@ def _require_finite(values: np.ndarray) -> None:
         raise ValueError("non-finite values")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridFunction:
     """Complex samples on a lattice, one value per grid point, row-major over
-    the 2n axes.  Here the lattice is the phase grid (axis grid.axis, weight
-    density * cell_weight); transforms.OrbitGridFunction overrides both."""
+    the 2n axes.  Here the lattice is the phase grid (axis grid.axis with
+    step grid.h, weight density * cell_weight, coordinates a and b);
+    transforms.OrbitGridFunction overrides all of them.
+
+    _nodes is (S, B) when transforms.coefficient_map made the samples from
+    the node tensor S and the real interpolation matrix B; values is then
+    read-only (and no field can be rebound), so the two cannot drift apart.
+    It is not an __init__ argument: only that route sets it.
+    """
 
     grid: PhaseGrid
     values: np.ndarray
+    _nodes: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+
+    coords = ("a", "b")  # names of the axis pair, as write_grid_csv heads them
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex).ravel()
@@ -276,6 +292,10 @@ class GridFunction:
         return self.grid.axis
 
     @property
+    def step(self) -> float:
+        return self.grid.h
+
+    @property
     def weight(self) -> float:
         return self.grid.density * self.grid.cell_weight
 
@@ -283,7 +303,9 @@ class GridFunction:
         return self.values.reshape(self.grid.shape)
 
     def norm(self) -> float:
-        return float(np.sqrt(self.weight * np.sum(np.abs(self.values) ** 2)))
+        # vdot makes no grid-sized |v|^2 temporaries
+        return float(np.sqrt(self.weight * np.vdot(self.values,
+                                                   self.values).real))
 
 
 def inner_l2(u: GridFunction, v: GridFunction) -> complex:

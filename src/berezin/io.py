@@ -73,15 +73,18 @@ def save_config(path, cfg: ModelConfig) -> None:
         fh.write("\n")
 
 
-def _csv_header(n: int) -> str:
-    cols = ["a%d" % (k + 1) for k in range(n)]
-    cols += ["b%d" % (k + 1) for k in range(n)]
-    return ",".join(cols + ["re", "im"])
+def _csv_header(n: int, coords: tuple) -> str:
+    return ",".join(["%s%d" % (c, k + 1) for c in coords for k in range(n)]
+                    + ["re", "im"])
 
 
 def write_grid_csv(path, fn, quantity: str, cfg: ModelConfig) -> list:
-    """CSV rows `a1,..,bn,re,im` in grid order at the coordinates fn.axis of
-    its lattice, plus a sidecar manifest; returns the two paths written."""
+    """CSV rows `a1,..,bn,re,im` (`alpha1,..,betan,re,im` for orbit samples,
+    the names fn.coords) in grid order at the coordinates fn.axis of its
+    lattice, plus a sidecar manifest; returns the two paths written.
+
+    The manifest's "grid" is the config's phase grid; its "lattice" is the
+    rows' own: the axis step and the weight of one sample."""
     grid = fn.grid
     coords = ["%.17g," % v for v in fn.axis.tolist()]
     # np.savetxt's bytes: rows over the last k axes share one template, and
@@ -90,13 +93,14 @@ def write_grid_csv(path, fn, quantity: str, cfg: ModelConfig) -> list:
     lines = ["".join(c) + "%.17g,%.17g\n" for c in product(coords, repeat=k)]
     blocks = fn.values.view(np.float64).reshape(-1, 2 * len(lines))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_header(grid.n) + "\n")
+        fh.write(_csv_header(grid.n, fn.coords) + "\n")
         for lead, vals in zip(product(coords, repeat=2 * grid.n - k), blocks):
             prefix = "".join(lead)
             fh.write((prefix + prefix.join(lines)) % tuple(vals.tolist()))
     manifest = {"config": config_to_dict(cfg),
                 "grid": {"L": grid.L, "G": grid.G, "h": grid.h,
                          "density": grid.density},
+                "lattice": {"step": fn.step, "weight": fn.weight},
                 "quantity": quantity}
     sidecar = str(path) + ".manifest.json"
     with open(sidecar, "w", encoding="utf-8") as fh:

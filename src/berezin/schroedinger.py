@@ -133,41 +133,46 @@ def _interpolation_matrix(lam: float, L: float, G: int, M: int) -> np.ndarray:
 
 
 def _expand_nodes(S: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
-    """Node values S, axes (a_1 b_1 a_2 b_2 ..), carried to the grid by B on
-    every axis, returned contiguous in grid order (a_1..a_n, b_1..b_n).
+    """Node values S, axes (a_1 b_1 a_2 b_2 ..), carried to the grid by the
+    (G, N) factor B on every axis, returned contiguous in grid order
+    (a_1..a_n, b_1..b_n).
 
-    B is real, so each axis is one real matmul of B with the float view of
-    the tensor, (outer, N, 2 inner) -> (outer, G, 2 inner): the axis is
-    contracted in place, with no transposed copy and no complex cast of B.
-    The last axis goes first, while the tensor is smallest.  The grid-order
-    copy of S is bound only through X, so it is freed with the first step's
-    input.
+    Each axis is one matmul, (outer, N, inner) -> (outer, G, inner): the axis
+    is contracted in place, with no transposed copy.  A real B (the
+    interpolation matrix) meets the float view of the tensor, inner counting
+    two floats per entry, so B is never cast to complex; a complex B (the
+    Wigner side's DFT'd factor) meets the tensor itself.  The last axis goes
+    first, while the tensor is smallest.  The grid-order copy of S is bound
+    only through X, so it is freed with the first step's input.
     """
     G, N = B.shape
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     shape = [S.shape[i] for i in order]
-    X = np.ascontiguousarray(S.transpose(order), dtype=complex).view(float)
+    X = np.ascontiguousarray(S.transpose(order), dtype=complex).view(B.dtype)
+    width = X.size // S.size  # entries per value: 2 floats for a real B
     for axis in reversed(range(2 * n)):
         X = np.matmul(B, X.reshape(prod(shape[:axis]), N,
-                                   2 * prod(shape[axis + 1:])))
+                                   width * prod(shape[axis + 1:])))
         shape[axis] = G
     return X.view(complex).reshape(shape)
 
 
-def _guard_node_route(name: str, cfg: ModelConfig, own: int) -> None:
+def _guard_node_route(name: str, cfg: ModelConfig, own: int,
+                      beside: int = 0) -> None:
     """Refuse, before anything is computed, a node route whose working set
     exceeds the size guard: the cached node table (c and conj(c).T) and B,
     beside the larger of the caller's node stage (`own` complex entries) and
-    the largest expansion step of _expand_nodes.  Every step holds the
-    caller's node tensor (an unnamed argument too: CPython 3.10 frees it only
-    on return) and its own input and output; the first step's input is the
-    tensor's copy in grid order, freed once that step is done."""
+    the largest expansion step of _expand_nodes with `beside` entries the
+    caller holds through the expansion.  Every step holds the caller's node
+    tensor (an unnamed argument too: CPython 3.10 frees it only on return)
+    and its own input and output; the first step's input is the tensor's
+    copy in grid order, freed once that step is done."""
     M, G, n = cfg.M, cfg.G, cfg.n
     N = 2 * M - 1
     nodes = N ** (2 * n)
     _refuse_over_guard(name, G ** (2 * n), 2 * M * N * N + N * G + max(
-        own, 2 * nodes + nodes // N * G,
-        nodes + (N + G) * G * max(N, G) ** (2 * n - 2)))
+        own, beside + max(2 * nodes + nodes // N * G,
+                          nodes + (N + G) * G * max(N, G) ** (2 * n - 2))))
 
 
 def _refuse_over_guard(name: str, points: int, need: int) -> None:

@@ -19,6 +19,13 @@ FFT between two checkerboards (-1)^{j_1+..+j_2n} (_orbit_dft).  The weighted
 transform is exactly unitary with an exact two-sided inverse, for every
 (lam, L, G).  Sampling the orbit on the phase grid itself would break
 unitarity (alias ghosts) because h^2 G / 2 pi is not an integer in general.
+
+Two routes serve the inverse transform.  A sample made by coefficient_map
+keeps its node tensor S and interpolation matrix B (values = S expanded by
+B on every axis, read-only); the DFT of that is S expanded by the DFT'd
+factor, one complex matmul per axis (inverse_fourier_orbit).  Every other
+sample, and the forward transform, takes _orbit_dft's n-D FFT, which is
+also the node route's oracle in the tests.
 """
 from __future__ import annotations
 
@@ -39,9 +46,12 @@ class OrbitGridFunction(GridFunction):
 
     grid is the underlying phase grid (chart bookkeeping: same G, same n);
     the orbit's own axis is xi_axis with step eta = 2 pi / (G h), and one
-    sample weighs orbit_density * eta^{2n}.  Everything else (validation,
-    reshape, norm, the pairing inner_l2) is GridFunction's.
+    sample weighs orbit_density * eta^{2n}; the axis pair is named alpha and
+    beta.  Everything else (validation, reshape, norm, the pairing inner_l2)
+    is GridFunction's.
     """
+
+    coords = ("alpha", "beta")
 
     @property
     def eta(self) -> float:
@@ -62,6 +72,10 @@ class OrbitGridFunction(GridFunction):
     @property
     def axis(self) -> np.ndarray:
         return self.xi_axis
+
+    @property
+    def step(self) -> float:
+        return self.eta
 
     @property
     def weight(self) -> float:
@@ -121,11 +135,37 @@ def fourier_orbit(a: OrbitGridFunction) -> GridFunction:
 
 
 def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
-    """Two-sided inverse of fourier_orbit (exact at the discrete level)."""
+    """Two-sided inverse of fourier_orbit (exact at the discrete level).
+
+    Samples from coefficient_map carry their node tensor S and interpolation
+    matrix B, values = S expanded by B on every axis; the orbit DFT of that
+    is S expanded by FB, the checkerboard inverse DFT of B's columns times
+    weight^(1/2n) (the (-1)^{G/2} factors cancel over the 2n axes, as in
+    _orbit_dft).  Every other sample takes the n-D FFT of _orbit_dft.
+    """
     if type(F) is not GridFunction:
         raise ValueError("inverse_fourier_orbit takes samples on the phase grid")
-    vals = _orbit_dft(F.reshape(), -1, F.weight)
+    if F._nodes is None:
+        vals = _orbit_dft(F.reshape(), -1, F.weight)
+    else:
+        S, B = F._nodes
+        n = F.grid.n
+        signs = _checkerboard(1, F.grid.G)[:, None]
+        FB = scipy.fft.ifft(B * signs, axis=0, norm="forward")
+        FB *= F.weight ** (0.5 / n) * signs
+        vals = _expand_nodes(S, FB, n)
     return OrbitGridFunction(grid=F.grid, values=vals.ravel())
+
+
+def _map_node_stage(cfg) -> int:
+    """Complex entries of the last node step of _map_nodes: its input, the
+    node values, one term of them, np.dot's copy of a diagonal of the input,
+    the Laguerre rows and temporaries, and the ufunc buffer of term *= scale.
+    """
+    n, M = cfg.n, cfg.M
+    N = 2 * M - 1
+    return ((M * M + M + 2 * N * N) * N ** (2 * n - 2) + (M + 4) * N * N
+            + min(np.getbufsize(), N ** (2 * n)))
 
 
 def coefficient_map(ctx: RepresentationContext, f: HermiteState,
@@ -133,21 +173,21 @@ def coefficient_map(ctx: RepresentationContext, f: HermiteState,
     """values_k = (f | pi([a_k, b_k, 0]) phi) over the whole phase grid, any n.
 
     Linear in f and conjugate-linear in phi.  The size guard counts the
-    expansion and the last node step of _map_nodes: its input, the node
-    values, one term of them, np.dot's copy of a diagonal of the input, the
-    Laguerre rows and temporaries, and the ufunc buffer of term *= scale.
+    expansion and the node stage (_map_node_stage).  The result keeps its
+    node tensor and B for inverse_fourier_orbit, and its values are
+    read-only.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if f.dim != cfg.dim or phi.dim != cfg.dim:
         raise ValueError("state dimension mismatch")
     n, M = cfg.n, cfg.M
-    N = 2 * M - 1
-    _guard_node_route("coefficient map", cfg, (M * M + M + 2 * N * N)
-                      * N ** (2 * n - 2) + (M + 4) * N * N
-                      + min(np.getbufsize(), N ** (2 * n)))
+    _guard_node_route("coefficient map", cfg, _map_node_stage(cfg))
     B = _interpolation_matrix(grid.lam / 2.0, grid.L, cfg.G, M)
-    return GridFunction(grid=grid, values=_expand_nodes(
-        _map_nodes(f.coeffs, phi.coeffs, M, n), B, n).reshape(-1))
+    S = _map_nodes(f.coeffs, phi.coeffs, M, n)
+    A = GridFunction(grid=grid, values=_expand_nodes(S, B, n).reshape(-1))
+    S.flags.writeable = A.values.flags.writeable = False
+    object.__setattr__(A, "_nodes", (S, B))  # the dataclass is frozen
+    return A
 
 
 def _map_nodes(f: np.ndarray, phi: np.ndarray, M: int, n: int) -> np.ndarray:

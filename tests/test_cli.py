@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, outputs, determinism."""
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 import berezin
-from berezin import ConfigError, ModelConfig, default_config, schroedinger
+from berezin import (ConfigError, ModelConfig, cli, default_config,
+                     schroedinger)
 from berezin.cli import main
 from berezin.io import load_config, read_grid_csv, save_config, \
     write_operator_csv, write_state_csv
@@ -417,10 +419,11 @@ def test_unknown_subcommand_exits_2(paths):
 
 
 def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
-    # at G = 16 the largest term is the node tensor, its grid-order copy and
-    # the first expansion step's output, N = 2M - 1 > G, beside the cached
-    # node table and B: 18315528 complex entries at M = 27, over 2^24,
-    # refused before anything is allocated; M = 26 needs 15788886 and runs
+    # at G = 16 the largest term is the Wigner side's first expansion step:
+    # the node tensor, its grid-order copy and the step's output, N = 2M - 1
+    # > G, beside the ambiguity table, FB and the cached node table and B:
+    # 18381912 complex entries at M = 27, over 2^24, refused before anything
+    # is allocated; M = 26 needs 15855238 and runs
     codes = {}
     for M in (26, 27):
         cfg = ModelConfig(n=2, lam=1.0, M=M, L=28.0, G=16, tol_identity=1e-6,
@@ -434,19 +437,19 @@ def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
                          "--out", str(paths["root"] / ("out_n2_M%d" % M))])
     assert codes == {26: 0, 27: 2}
     err = capsys.readouterr().err
-    assert "needs 18315528" in err and "size guard of 16777216" in err
+    assert "needs 18381912" in err and "size guard of 16777216" in err
     _, vals = read_grid_csv(paths["root"] / "out_n2_M26" / "ambiguity.csv")
     assert vals.size == 16 ** 4 and np.abs(vals).max() < 1.0 + 1e-12
 
 def test_wigner_guard_counts_both_tables(paths, capsys, monkeypatch):
-    # the ambiguity table stays while the Wigner table is built beside it,
-    # and the orbit DFT takes a ufunc buffer of up to np.getbufsize()
-    # entries: 2 * 4096 + 4096 at n = 1, G = 64
+    # the ambiguity table and its node tensor stay while the Wigner table is
+    # expanded beside them by FB: at n = 1, M = 2, G = 64 the two tables,
+    # the last step's input, FB, B and the node table, 8813 entries
     cfg_path = paths["root"] / "cfg_M2_G64.json"
     save_config(cfg_path, default_config(lam=1.0, M=2, G=64))
     state_path = paths["root"] / "M2_state.csv"
     write_state_csv(state_path, np.array([0.6, 0.8j]))
-    need = 12288
+    need = 8813
     codes = {}
     for limit in (need - 1, need):
         monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", limit)
@@ -455,14 +458,34 @@ def test_wigner_guard_counts_both_tables(paths, capsys, monkeypatch):
                              str(state_path), "--out", str(out)])
         assert os.path.isfile(out / "wigner.csv") == (limit == need)
     assert codes == {need - 1: 2, need: 0}
-    assert ("ambiguity and Wigner tables on 4096 grid points needs 12288 "
-            "complex entries, over the size guard of 12287"
+    assert ("ambiguity and Wigner tables on 4096 grid points needs 8813 "
+            "complex entries, over the size guard of 8812"
             in capsys.readouterr().err)
 
 
+def test_wigner_guard_bounds_its_peak(guard_ctx, need_and_peak, tmp_path,
+                                      monkeypatch):
+    # the count bounds the command's cold-cache peak (64 KiB left for small
+    # objects) and, wherever G >= 2M - 1, exceeds it by at most 10 %
+    # (measured 0.98-1.08 on CPython 3.11); the CSV writer, which holds one
+    # block of at most _BLOCK_ROWS rows and no grid-sized array, is replaced
+    # by a stub that writes nothing
+    cfg = guard_ctx.cfg
+    state_path = tmp_path / "state.csv"
+    v = np.random.default_rng(14).standard_normal((2, cfg.dim))
+    write_state_csv(state_path, (v[0] + 1j * v[1]) / np.linalg.norm(v))
+    monkeypatch.setattr(cli, "write_grid_csv", lambda path, *_: [path])
+    args = argparse.Namespace(command="wigner", state=str(state_path),
+                              out=str(tmp_path), json=False)
+    need, peak = need_and_peak(lambda: cli.cmd_wigner(cfg, args))
+    assert peak <= 16 * need + 65536
+    if cfg.G >= 2 * cfg.M - 1:
+        assert 16 * need <= 1.10 * peak
+
+
 def test_wigner_beyond_both_tables_guard_exits_2(paths, capsys, monkeypatch):
-    # n = 1, M = 16: G = 2896 needs 16781824 and is refused up front, before
-    # the map is computed; G = 2894 needs 16758664 <= 2^24 (not run: its
+    # n = 1, M = 16: G = 2872 needs 16795577 and is refused up front, before
+    # the map is computed; G = 2870 needs 16772423 <= 2^24 (not run: its
     # CSVs are 0.6 GB)
     state_path = paths["root"] / "M16_state.csv"
     write_state_csv(state_path, np.eye(16, dtype=complex)[0])
@@ -474,13 +497,13 @@ def test_wigner_beyond_both_tables_guard_exits_2(paths, capsys, monkeypatch):
                      str(state_path), "--out",
                      str(paths["root"] / ("out_G%d" % G))])
 
-    assert run(2896) == 2
-    assert ("8386816 grid points needs 16781824 complex entries, over the "
+    assert run(2872) == 2
+    assert ("8248384 grid points needs 16795577 complex entries, over the "
             "size guard of 16777216" in capsys.readouterr().err)
-    assert not os.path.exists(paths["root"] / "out_G2896" / "ambiguity.csv")
+    assert not os.path.exists(paths["root"] / "out_G2872" / "ambiguity.csv")
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 0)
-    assert run(2894) == 2
-    assert ("8375236 grid points needs 16758664 complex entries"
+    assert run(2870) == 2
+    assert ("8236900 grid points needs 16772423 complex entries"
             in capsys.readouterr().err)
 
 

@@ -1,6 +1,8 @@
 """Configuration, grid geometry, states, operators, and pairings."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,18 @@ def test_phase_grid_refuses_odd_or_small_G(G):
         PhaseGrid(n=1, lam=1.0, L=4.0, G=G)
 
 
+@pytest.mark.parametrize("lam, L, bound", [
+    (-1.0, float("nan"), "lambda"), (0.0, 4.0, "lambda"),
+    (float("nan"), 4.0, "lambda"), (float("inf"), 4.0, "lambda"),
+    (1.0, float("nan"), "L"), (1.0, -4.0, "L"), (1.0, 0.0, "L"),
+    (1.0, float("inf"), "L")])
+def test_phase_grid_refuses_lambda_and_L_outside_zero_to_inf(lam, L, bound):
+    # PhaseGrid(n=1, lam=-1.0, L=nan, G=8) constructed, with nan axes
+    with pytest.raises(ConfigError,
+                       match="^%s must be a positive finite real$" % bound):
+        PhaseGrid(n=1, lam=lam, L=L, G=8)
+
+
 def test_density_normalization():
     assert PhaseGrid(n=1, lam=2.0 * np.pi, L=1.0, G=2).density == pytest.approx(1.0)
     cfg = default_config(lam=1.0, M=8, L=8.0)
@@ -112,6 +126,23 @@ def test_inner_l2_conjugate_symmetry():
         v = GridFunction(grid=grid, values=rng.standard_normal(64)
                          + 1j * rng.standard_normal(64))
         assert inner_l2(u, v) == pytest.approx(np.conj(inner_l2(v, u)), abs=1e-12)
+
+
+def test_grid_function_norm_makes_no_grid_sized_array():
+    grid = PhaseGrid(n=1, lam=1.0, L=4.0, G=256)
+    rng = np.random.default_rng(1)
+    u = GridFunction(grid=grid, values=rng.standard_normal(grid.num_points)
+                     + 1j * rng.standard_normal(grid.num_points))
+    tracemalloc.start()
+    try:
+        norm = u.norm()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # |v| ** 2 summed made two float arrays of the grid's size, 1.0x the
+    # values at their peak
+    assert peak < 0.01 * u.values.nbytes
+    assert norm == pytest.approx(np.sqrt(inner_l2(u, u).real), rel=1e-14)
 
 
 def test_grid_function_length_mismatch():

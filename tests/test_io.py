@@ -145,8 +145,9 @@ def test_n2_grid_csv_rows_are_the_bytes_of_savetxt(tmp_path, G, orbit):
         coords = grid.points()
     p = tmp_path / "g.csv"
     write_grid_csv(p, fn, "test", default_config())
+    header = "alpha1,alpha2,beta1,beta2" if orbit else "a1,a2,b1,b2"
     assert p.read_text(encoding="utf-8") == \
-        "a1,a2,b1,b2,re,im\n" + _savetxt_bytes(fn, coords)
+        header + ",re,im\n" + _savetxt_bytes(fn, coords)
 
 
 def test_grid_csv_axis_longer_than_a_block(tmp_path, monkeypatch):
@@ -183,10 +184,11 @@ def test_grid_csv_sidecar_manifest(tmp_path):
     p = tmp_path / "field.csv"
     write_grid_csv(p, fn, "berezin_symbol", cfg)
     doc = json.loads((tmp_path / "field.csv.manifest.json").read_text())
-    assert set(doc) == {"config", "grid", "quantity"}
+    assert set(doc) == {"config", "grid", "lattice", "quantity"}
     assert doc["quantity"] == "berezin_symbol"
     assert set(doc["grid"]) == {"L", "G", "h", "density"}
     assert doc["grid"]["G"] == 16
+    assert doc["lattice"] == {"step": ctx.grid.h, "weight": fn.weight}
     assert doc["config"] == config_to_dict(cfg)
 
 
@@ -204,6 +206,10 @@ def test_orbit_csv_uses_dual_coordinates(tmp_path):
     np.testing.assert_allclose(coords[:, 1], B.ravel())
     doc = json.loads((tmp_path / "wig.csv.manifest.json").read_text())
     assert doc["quantity"] == "wigner"
+    # the rows sit on step eta (0.393 here), not on the phase grid's h = 1
+    assert p.read_text().startswith("alpha1,beta1,re,im\n")
+    assert doc["lattice"] == {"step": W.eta, "weight": W.weight}
+    assert doc["lattice"]["step"] != doc["grid"]["h"]
 
 
 def test_grid_csv_rejects_foreign_header(tmp_path):
