@@ -254,7 +254,8 @@ def rank_one(u: HermiteState, v: HermiteState) -> OperatorMatrix:
 def _require_finite(values: np.ndarray) -> None:
     """ValueError unless every real and imaginary part of the (non-empty)
     complex array is finite: min and max of its float view propagate nan and
-    reach +-inf, so no grid-sized mask is made and nothing can overflow."""
+    reach +-inf, so no grid-sized mask is made and nothing can overflow.
+    Node-route samples skip these two passes (schroedinger._node_sample)."""
     x = values.view(float)
     if not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise ValueError("non-finite values")
@@ -267,10 +268,13 @@ class GridFunction:
     step grid.h, weight density * cell_weight, coordinates a and b);
     transforms.OrbitGridFunction overrides all of them.
 
-    _nodes is (S, B) when transforms.coefficient_map made the samples from
-    the node tensor S and the real interpolation matrix B; values is then
-    read-only (and no field can be rebound), so the two cannot drift apart.
-    It is not an __init__ argument: only that route sets it.
+    _nodes is (S, F) when schroedinger._node_sample made the samples by
+    expanding the node tensor S by the factor F on every axis (the
+    coefficient map, the covariant symbol and the node-route Wigner table);
+    values is then read-only (and no field can be rebound), so the two
+    cannot drift apart, and is shown finite from S and F instead of being
+    scanned (_require_finite).  It is not an __init__ argument: only that
+    route sets it.
     """
 
     grid: PhaseGrid

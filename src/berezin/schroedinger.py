@@ -18,7 +18,8 @@ scipy.special (and numpy).
 The coefficient map and the covariant symbol take their values at the
 Gauss-Hermite node pairs from _node_table and carry them to the grid with one
 interpolation matrix per axis (_interpolation_matrix, _expand_nodes); one
-working-set count refuses both (_guard_node_route).
+working-set count refuses both (_guard_node_route), and one constructor
+makes their samples, shown finite from the node tensor (_node_sample).
 
 Matrix orientation: rep_matrix(g)[j, k] = (pi(g) e_k | e_j), the coefficient
 of e_j in pi(g) e_k, so column k literally equals apply_group(g, e_k) and
@@ -34,13 +35,16 @@ from math import prod
 import numpy as np
 from scipy.special import roots_hermite
 
-from .core import (ModelConfig, HermiteState, OperatorMatrix, PhaseGrid,
-                   TruncationError, build_grid, basis_state, hermite_columns)
+from .core import (GridFunction, ModelConfig, HermiteState, OperatorMatrix,
+                   PhaseGrid, TruncationError, build_grid, basis_state,
+                   hermite_columns)
 from .heisenberg import HeisenbergElement, PhasePoint
 
 # max complex entries of a grid-sized working set (_refuse_over_guard): each
 # count is the arrays its route holds at its peak, cached tables included
 _TABLE_LIMIT = 2 ** 24
+# the largest float: _node_sample refuses values that could reach half of it
+_FLOAT_MAX = float(np.finfo(float).max)
 # table entries below this modulus are stored as exact zeros, so every product
 # of two entries is zero or a normal float (subnormal arithmetic is slow)
 _TABLE_FLOOR = 2.0 ** -511
@@ -155,6 +159,33 @@ def _expand_nodes(S: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
                                    width * prod(shape[axis + 1:])))
         shape[axis] = G
     return X.view(complex).reshape(shape)
+
+
+def _node_sample(cls: type, grid: PhaseGrid, S: np.ndarray,
+                 F: np.ndarray) -> GridFunction:
+    """The cls sample (GridFunction, or the orbit's subclass) whose values
+    are the node tensor S expanded by the factor F on every axis
+    (_expand_nodes), keeping (S, F) as its _nodes; S and the values are
+    read-only.
+
+    Each value is a sum of products of one node value with one entry of F
+    per axis, so its modulus, and that of every partial sum, is at most
+    max|S| ||F||^{2n}, ||F|| the largest absolute row sum of F.  Unless
+    that bound lies below half the largest float, ValueError("non-finite
+    values"), as GridFunction raises; the comparison fails on nan and inf,
+    so non-finite S or F are refused too.  Under the bound every value is
+    finite, so the G^{2n} values are not scanned again.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused
+        bound = np.abs(S).max() * np.linalg.norm(F, np.inf) ** (2 * grid.n)
+    if not bound < _FLOAT_MAX / 2:
+        raise ValueError("non-finite values")
+    values = _expand_nodes(S, F, grid.n).reshape(-1)
+    values.flags.writeable = S.flags.writeable = False
+    sample = object.__new__(cls)  # the frozen dataclass, without the scan
+    for name, value in (("grid", grid), ("values", values), ("_nodes", (S, F))):
+        object.__setattr__(sample, name, value)
+    return sample
 
 
 def _guard_node_route(name: str, cfg: ModelConfig, own: int,

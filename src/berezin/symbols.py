@@ -42,10 +42,9 @@ import numpy as np
 from .core import (GridFunction, HermiteState, OperatorMatrix,
                    TruncationError, hs_inner)
 from .heisenberg import HeisenbergElement, PhasePoint, project_to_phase
-from .schroedinger import (RepresentationContext, _expand_nodes,
-                           _guard_node_route, _interpolation_matrix,
-                           _node_table, coherent_state, gaussian_vector,
-                           rep_matrix)
+from .schroedinger import (RepresentationContext, _guard_node_route,
+                           _interpolation_matrix, _node_sample, _node_table,
+                           coherent_state, gaussian_vector, rep_matrix)
 from .transforms import coefficient_map
 
 _SVD_LIMIT = 2 ** 26  # max complex entries of the symbol-map SVD's working set
@@ -134,24 +133,26 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
     the node values in grid order (a_1..a_n, b_1..b_n), then the
     interpolation matrix B on each of the 2n axes.  Absolute error about
     eps * max|S|.  The size guard counts the expansion and the last node
-    step: the tensordot output, its product with conj(c) (M (2M-1)^{2n}
-    entries each) and their sum.
+    step: the tensordot output (M (2M-1)^{2n} entries), multiplied by
+    conj(c) in place, and its sum.  The result keeps its node tensor and
+    B (schroedinger._node_sample), and its values are read-only.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if A.dim != cfg.dim:
         raise ValueError("operator dimension mismatch")
     n, M = cfg.n, cfg.M
     N = 2 * M - 1
-    _guard_node_route("covariant symbol", cfg, (2 * M + 1) * N ** (2 * n))
+    _guard_node_route("covariant symbol", cfg, (M + 1) * N ** (2 * n))
     c, cbar_t = _node_table(M, np.sqrt(2.0))
     S = A.entries.reshape((M,) * (2 * n))
     for k in range(n):  # axes (m_k.., j_k.., node pairs 1..k-1)
         S = np.tensordot(S, c, axes=([0], [1]))  # m_k -> node pair k, last
-        S = np.moveaxis(S, n - 1 - k, -2)  # j_k beside it
-        S = (S * cbar_t).sum(axis=-2)
+        S = np.moveaxis(S, n - 1 - k, -2)  # j_k beside it (a view)
+        S *= cbar_t  # in place: the tensordot output is this route's own
+        S = S.sum(axis=-2)
     S = S.reshape((N,) * (2 * n))  # node axes (a_1 b_1 a_2 b_2 ...)
     B = _interpolation_matrix(grid.lam, grid.L, grid.G, M)
-    return GridFunction(grid=grid, values=_expand_nodes(S, B, n).reshape(-1))
+    return _node_sample(GridFunction, grid, S, B)
 
 
 def trace_identity_residual(ctx: RepresentationContext, A: OperatorMatrix) -> float:

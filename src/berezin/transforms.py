@@ -20,12 +20,15 @@ transform is exactly unitary with an exact two-sided inverse, for every
 (lam, L, G).  Sampling the orbit on the phase grid itself would break
 unitarity (alias ghosts) because h^2 G / 2 pi is not an integer in general.
 
-Two routes serve the inverse transform.  A sample made by coefficient_map
-keeps its node tensor S and interpolation matrix B (values = S expanded by
-B on every axis, read-only); the DFT of that is S expanded by the DFT'd
-factor, one complex matmul per axis (inverse_fourier_orbit).  Every other
-sample, and the forward transform, takes _orbit_dft's n-D FFT, which is
-also the node route's oracle in the tests.
+Two routes serve the inverse transform.  A sample made by the node route
+(coefficient_map, or symbols.covariant_symbol) keeps its node tensor S and
+interpolation matrix B (values = S expanded by B on every axis, read-only);
+the DFT of that is S expanded by the DFT'd factor, one complex matmul per
+axis (inverse_fourier_orbit).  Every other sample, and the forward
+transform, takes _orbit_dft's n-D FFT, which is also the node route's
+oracle in the tests.  Node-route samples, the Wigner table among them, are
+shown finite by a bound on S and the factor (schroedinger._node_sample);
+every other sample's values are scanned (core._require_finite).
 """
 from __future__ import annotations
 
@@ -36,9 +39,9 @@ import scipy.fft
 from scipy.special import roots_hermite
 
 from .core import GridFunction, HermiteState, inner_l2
-from .schroedinger import (RepresentationContext, _expand_nodes,
-                           _guard_node_route, _interpolation_matrix,
-                           _laguerre_factors, _node_table)
+from .schroedinger import (RepresentationContext, _guard_node_route,
+                           _interpolation_matrix, _laguerre_factors,
+                           _node_sample, _node_table)
 
 
 class OrbitGridFunction(GridFunction):
@@ -137,24 +140,23 @@ def fourier_orbit(a: OrbitGridFunction) -> GridFunction:
 def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
     """Two-sided inverse of fourier_orbit (exact at the discrete level).
 
-    Samples from coefficient_map carry their node tensor S and interpolation
-    matrix B, values = S expanded by B on every axis; the orbit DFT of that
-    is S expanded by FB, the checkerboard inverse DFT of B's columns times
-    weight^(1/2n) (the (-1)^{G/2} factors cancel over the 2n axes, as in
-    _orbit_dft).  Every other sample takes the n-D FFT of _orbit_dft.
+    Samples from coefficient_map and symbols.covariant_symbol carry their
+    node tensor S and interpolation matrix B, values = S expanded by B on
+    every axis; the orbit DFT of that is S expanded by FB, the checkerboard
+    inverse DFT of B's columns times weight^(1/2n) (the (-1)^{G/2} factors
+    cancel over the 2n axes, as in _orbit_dft).  Every other sample takes
+    the n-D FFT of _orbit_dft.
     """
     if type(F) is not GridFunction:
         raise ValueError("inverse_fourier_orbit takes samples on the phase grid")
     if F._nodes is None:
         vals = _orbit_dft(F.reshape(), -1, F.weight)
-    else:
-        S, B = F._nodes
-        n = F.grid.n
-        signs = _checkerboard(1, F.grid.G)[:, None]
-        FB = scipy.fft.ifft(B * signs, axis=0, norm="forward")
-        FB *= F.weight ** (0.5 / n) * signs
-        vals = _expand_nodes(S, FB, n)
-    return OrbitGridFunction(grid=F.grid, values=vals.ravel())
+        return OrbitGridFunction(grid=F.grid, values=vals.ravel())
+    S, B = F._nodes
+    signs = _checkerboard(1, F.grid.G)[:, None]
+    FB = scipy.fft.ifft(B * signs, axis=0, norm="forward")
+    FB *= F.weight ** (0.5 / F.grid.n) * signs
+    return _node_sample(OrbitGridFunction, F.grid, S, FB)
 
 
 def _map_node_stage(cfg) -> int:
@@ -183,11 +185,8 @@ def coefficient_map(ctx: RepresentationContext, f: HermiteState,
     n, M = cfg.n, cfg.M
     _guard_node_route("coefficient map", cfg, _map_node_stage(cfg))
     B = _interpolation_matrix(grid.lam / 2.0, grid.L, cfg.G, M)
-    S = _map_nodes(f.coeffs, phi.coeffs, M, n)
-    A = GridFunction(grid=grid, values=_expand_nodes(S, B, n).reshape(-1))
-    S.flags.writeable = A.values.flags.writeable = False
-    object.__setattr__(A, "_nodes", (S, B))  # the dataclass is frozen
-    return A
+    return _node_sample(GridFunction, grid, _map_nodes(f.coeffs, phi.coeffs,
+                                                       M, n), B)
 
 
 def _map_nodes(f: np.ndarray, phi: np.ndarray, M: int, n: int) -> np.ndarray:

@@ -551,6 +551,24 @@ def test_frame_operator_and_reconstruct_build_no_table(no_table):
         assert np.abs(frame_operator(cx) - np.eye(8)).max() < 1e-14
 
 
+@pytest.mark.parametrize("n, M, G", [(1, 32, 256), (2, 5, 40), (2, 8, 40)])
+def test_in_place_node_stage_is_bit_identical(n, M, G):
+    # the node stage before it multiplied in place: a product array, summed
+    cx = RepresentationContext(default_config(n=n, lam=1.0, M=M, G=G))
+    rng = np.random.default_rng(40 + M)
+    A = _random_operator(rng, cx.cfg.dim)
+    N = 2 * M - 1
+    c, cbar_t = schroedinger._node_table(M, np.sqrt(2.0))
+    S = A.entries.reshape((M,) * (2 * n))
+    for k in range(n):
+        S = np.tensordot(S, c, axes=([0], [1]))
+        S = np.moveaxis(S, n - 1 - k, -2)
+        S = (S * cbar_t).sum(axis=-2)
+    B = schroedinger._interpolation_matrix(1.0, cx.grid.L, G, M)
+    ref = schroedinger._expand_nodes(S.reshape((N,) * (2 * n)), B, n)
+    assert np.array_equal(covariant_symbol(cx, A).values, ref.reshape(-1))
+
+
 def test_covariant_symbol_guard_bounds_its_peak(guard_ctx, need_and_peak):
     # the count bounds the cold-cache peak (64 KiB left for small objects)
     # and, wherever G >= 2M - 1, exceeds it by at most 10 % (measured
@@ -597,11 +615,11 @@ def test_n2_covariant_symbol_guard_counts_the_expansion(monkeypatch):
 
 
 def test_covariant_symbol_refuses_node_stage_over_guard():
-    # a small grid but a large M: the last node step holds (2M + 1) (2M-1)^4
-    # entries, 49 * 47^4 = 239104369, over 2^24 beside the cached tables
+    # a small grid but a large M: the last node step holds (M + 1) (2M-1)^4
+    # entries, 25 * 47^4 = 121992025, over 2^24 beside the cached tables
     cx = RepresentationContext(ModelConfig(n=2, lam=1.0, M=24, L=28.0, G=16,
                                            tol_quadrature=0.9))
-    with pytest.raises(MemoryError, match="needs 239211153 .* guard of 16777216"):
+    with pytest.raises(MemoryError, match="needs 122098809 .* guard of 16777216"):
         covariant_symbol(cx, identity_operator(24 ** 2))
 
 

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from berezin import (GridFunction, HermiteState, ModelConfig, PhaseGrid,
-                     RepresentationContext, basis_state, coefficient_map,
-                     default_L, default_config, fourier_orbit,
-                     gaussian_vector, inner_l2, inverse_fourier_orbit,
+from berezin import (GridFunction, HermiteState, ModelConfig, OperatorMatrix,
+                     PhaseGrid, RepresentationContext, basis_state,
+                     coefficient_map, core, covariant_symbol, default_L,
+                     default_config, fourier_orbit, gaussian_vector,
+                     identity_operator, inner_l2, inverse_fourier_orbit,
                      moyal_residual, orbit_inner, wigner)
 from berezin.oracle import oracle_double_sum_ft
 from berezin.schroedinger import ambiguity_batch
@@ -200,19 +201,36 @@ def test_node_route_wigner_matches_the_fft_oracle(n, M, G, lam, window):
 
 
 def test_node_carrying_samples_are_read_only(ctx):
+    # every node-route sample is one kind: node tensor, factor, read-only
     vac = gaussian_vector(ctx.cfg)
     amb = coefficient_map(ctx, basis_state(8, 1), vac)
-    S, B = amb._nodes
-    for arr in (amb.values, amb.reshape(), S, B):
-        assert not arr.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        amb.values[0] = 1.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        amb.values = np.zeros_like(amb.values)
-    # only the node route sets the node tensor: copies carry none
-    with pytest.raises(TypeError):
-        GridFunction(grid=amb.grid, values=amb.values, _nodes=(S, B))
-    assert dataclasses.replace(amb)._nodes is None
+    for sample in (amb, inverse_fourier_orbit(amb),
+                   covariant_symbol(ctx, identity_operator(8))):
+        S, F = sample._nodes
+        for arr in (sample.values, sample.reshape(), S):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sample.values[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample.values = np.zeros_like(sample.values)
+        # only the node route sets the node tensor: copies carry none
+        with pytest.raises(TypeError):
+            type(sample)(grid=sample.grid, values=sample.values,
+                         _nodes=(S, F))
+        assert dataclasses.replace(sample)._nodes is None
+
+
+@pytest.mark.parametrize("n, M, G", [(1, 16, 128), (2, 5, 40)])
+def test_symbol_inverse_takes_the_node_route(n, M, G):
+    cx = RepresentationContext(default_config(n=n, lam=1.0, M=M, G=G))
+    rng = np.random.default_rng(60 + M)
+    E = rng.standard_normal((cx.cfg.dim,) * 2)
+    sym = covariant_symbol(cx, OperatorMatrix(E + 1j * E.T))
+    W = inverse_fourier_orbit(sym)
+    ref = inverse_fourier_orbit(GridFunction(grid=sym.grid, values=sym.values))
+    assert W._nodes is not None and ref._nodes is None
+    assert np.abs(W.values - ref.values).max() <= 1e-14 * np.abs(
+        ref.values).max()
 
 
 def test_n2_moyal_through_both_wigner_routes():
@@ -475,3 +493,62 @@ def test_grid_functions_accept_extreme_finite_values(cls):
     v[:4] = [tiny, -tiny, 1j * tiny, 1e-310 - 1e-310j]
     got = cls(grid=grid, values=v)
     assert np.array_equal(got.values, v)
+
+
+_FLOAT_MAX = np.finfo(float).max
+
+
+def _scaled_route(route):
+    """The route as a function of the scale of its input.  At M = 2 the
+    grid maxima lie between node points (1.34 and 1.79 against node maxima
+    of 1.05 and 1.64); the symbol of the identity at M = 32 is at most 1,
+    and its transform at the origin is trace(I) = 32."""
+    if route == "node inverse":
+        cx = RepresentationContext(default_config(lam=1.0, M=32, G=256))
+        return lambda s: inverse_fourier_orbit(covariant_symbol(
+            cx, OperatorMatrix(s * np.eye(32))))
+    cx = RepresentationContext(default_config(lam=1.0, M=2))
+    if route == "coefficient map":
+        return lambda s: coefficient_map(cx, HermiteState(s * np.ones(2)),
+                                         gaussian_vector(cx.cfg))
+    return lambda s: covariant_symbol(cx, OperatorMatrix(s * np.ones((2, 2))))
+
+
+@pytest.mark.parametrize("route", ["coefficient map", "covariant symbol",
+                                   "node inverse"])
+def test_node_routes_refuse_outputs_past_the_largest_float(route):
+    # finite inputs and node values; the outputs would be 1.04 times the
+    # largest float
+    call = _scaled_route(route)
+    scale = _FLOAT_MAX / np.abs(call(1.0).values).max() * 1.04
+    if route == "node inverse":  # the symbol itself is served
+        cx = RepresentationContext(default_config(lam=1.0, M=32, G=256))
+        covariant_symbol(cx, OperatorMatrix(scale * np.eye(32)))
+    with pytest.raises(ValueError, match="non-finite"):
+        call(scale)
+
+
+@pytest.mark.parametrize("route", ["coefficient map", "covariant symbol",
+                                   "node inverse"])
+def test_node_routes_serve_inputs_scaled_by_1e280(route):
+    call = _scaled_route(route)
+    unit, big = call(1.0), call(1e280)
+    top = np.abs(unit.values).max()  # measured at most 3.4e-16 of it
+    assert np.abs(big.values / 1e280 - unit.values).max() <= 1e-14 * top
+
+
+def test_node_route_samples_are_not_scanned(ctx, monkeypatch):
+    # the bound on the node tensor shows their values finite; samples made
+    # from values are scanned
+    sizes = []
+    scan = core._require_finite
+    monkeypatch.setattr(core, "_require_finite",
+                        lambda v: sizes.append(v.size) or scan(v))
+    amb = coefficient_map(ctx, basis_state(8, 1), gaussian_vector(ctx.cfg))
+    inverse_fourier_orbit(amb)
+    covariant_symbol(ctx, identity_operator(8))
+    points = ctx.grid.num_points
+    assert points not in sizes
+    plain = GridFunction(grid=ctx.grid, values=amb.values)
+    fourier_orbit(inverse_fourier_orbit(plain))  # the FFT route both ways
+    assert sizes == [points] * 3
