@@ -20,11 +20,9 @@ import sys
 from .core import ConfigError, HermiteState, OperatorMatrix, TruncationError
 from .io import (config_to_dict, load_config, read_operator_csv,
                  read_state_csv, write_grid_csv, write_run_manifest)
-from .schroedinger import (RepresentationContext, _guard_node_route,
-                           gaussian_vector)
+from .schroedinger import RepresentationContext, gaussian_vector
 from .symbols import check_symbol_map, covariant_symbol, injectivity_report
-from .transforms import (_map_node_stage, coefficient_map,
-                         inverse_fourier_orbit)
+from .transforms import _guard_wigner, coefficient_map, inverse_fourier_orbit
 from .verify import run_verification
 
 
@@ -101,10 +99,7 @@ def cmd_symbol(cfg, args) -> int:
 def cmd_wigner(cfg, args) -> int:
     f = HermiteState(read_state_csv(args.state, cfg.dim))
     ctx = RepresentationContext(cfg)
-    # the map's node stage, or the Wigner side's node expansion beside the
-    # ambiguity table and its factor FB (G x N), refused before either runs
-    _guard_node_route("ambiguity and Wigner tables", cfg, _map_node_stage(cfg),
-                      ctx.grid.num_points + cfg.G * (2 * cfg.M - 1))
+    _guard_wigner(ctx)  # before the map runs
     amb = coefficient_map(ctx, f, gaussian_vector(cfg))
     wig = inverse_fourier_orbit(amb)
     amb_path = os.path.join(args.out, "ambiguity.csv")

@@ -123,13 +123,20 @@ def read_grid_csv(path) -> tuple:
 
 
 def write_operator_csv(path, entries: np.ndarray) -> None:
-    """dim rows, each row the re,im pairs of one matrix row."""
+    """One line per matrix row: the re,im pairs of its entries."""
     table = np.ascontiguousarray(entries, dtype=complex).view(np.float64)
     np.savetxt(path, table, fmt="%.17g", delimiter=",")
 
 
-def read_operator_csv(path, dim: int) -> np.ndarray:
-    rows = []
+def write_state_csv(path, coeffs: np.ndarray) -> None:
+    """One `re,im` line per coefficient: the operator CSV of one column."""
+    write_operator_csv(path, np.reshape(coeffs, (-1, 1)))
+
+
+def _read_complex_rows(path, rows: int, cols: int, noun: str) -> np.ndarray:
+    """The (rows, cols) complex table of a CSV whose non-blank lines each
+    hold cols re,im pairs; noun names the lines in the count message."""
+    table = []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
@@ -139,47 +146,25 @@ def read_operator_csv(path, dim: int) -> np.ndarray:
                 nums = [float(tok) for tok in line.split(",")]
             except ValueError as exc:
                 raise ConfigError("%s line %d: %s" % (path, ln, exc)) from exc
-            if len(nums) != 2 * dim:
+            if len(nums) != 2 * cols:
                 raise ConfigError("%s line %d: expected %d values, got %d" %
-                                  (path, ln, 2 * dim, len(nums)))
-            arr = np.asarray(nums)
-            rows.append(arr[0::2] + 1j * arr[1::2])
-    if len(rows) != dim:
-        raise ConfigError("%s: expected %d rows, got %d" % (path, dim, len(rows)))
-    mat = np.stack(rows)
+                                  (path, ln, 2 * cols, len(nums)))
+            table.append(nums)
+    if len(table) != rows:
+        raise ConfigError("%s: expected %d %s, got %d" %
+                          (path, rows, noun, len(table)))
+    mat = np.array(table).view(complex)
     if not np.all(np.isfinite(mat)):
         raise ConfigError("%s: non-finite entries" % path)
     return mat
 
 
-def write_state_csv(path, coeffs: np.ndarray) -> None:
-    """One `re,im` line per coefficient."""
-    table = np.column_stack([np.asarray(coeffs).real, np.asarray(coeffs).imag])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",")
+def read_operator_csv(path, dim: int) -> np.ndarray:
+    return _read_complex_rows(path, dim, dim, "rows")
 
 
 def read_state_csv(path, dim: int) -> np.ndarray:
-    vals = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split(",")
-            if len(toks) != 2:
-                raise ConfigError("%s line %d: expected `re,im`, got %r" %
-                                  (path, ln, line))
-            try:
-                vals.append(float(toks[0]) + 1j * float(toks[1]))
-            except ValueError as exc:
-                raise ConfigError("%s line %d: %s" % (path, ln, exc)) from exc
-    if len(vals) != dim:
-        raise ConfigError("%s: expected %d coefficients, got %d" %
-                          (path, dim, len(vals)))
-    out = np.asarray(vals)
-    if not np.all(np.isfinite(out)):
-        raise ConfigError("%s: non-finite entries" % path)
-    return out
+    return _read_complex_rows(path, dim, 1, "coefficients")[:, 0]
 
 
 def _versions() -> dict:

@@ -2,8 +2,9 @@
 
 Everything here exists to cross-check the fast paths and deliberately shares no
 quadrature code with them: basis functions come from scipy.special.eval_hermite
-instead of the in-package recurrence, integrals use this module's own position
-grid or Gauss-Hermite nodes, and Fourier transforms are literal dense sums.
+instead of the in-package recurrence, integrals use Gauss-Hermite nodes or
+PositionGrid, which the chirp-z oracle shares, and Fourier transforms are
+literal dense sums.
 The covariant symbol, frame operator and symbol-map SVD, which the main path
 takes from Gauss-Hermite node samples, are read here off the coherent table,
 one grid point per row; the coefficient map off displacement_1d.
@@ -26,15 +27,23 @@ from .schroedinger import RepresentationContext, displacement_1d
 _MAX_MODE = 64  # eval_hermite values stay inside float64 range up to here
 
 
+def _position_bounds(cfg: ModelConfig) -> tuple[float, float]:
+    """(R, s) of PositionGrid: R is 10 Gaussian decay lengths past the top
+    mode's turning point sqrt((2M+1)/lam), as each integrand holds one
+    undisplaced mode below M; s resolves that mode's sqrt(lam(2M+1)) and
+    the grid's largest modulation frequency lam*L, with margin."""
+    lam, M, L = cfg.lam, cfg.M, cfg.L
+    return (float(np.sqrt((2 * M + 1) / lam) + 10.0 / np.sqrt(lam)),
+            float(min(0.2 / np.sqrt(lam * (2 * M + 1)),
+                      np.pi / (5.0 * lam * L))))
+
+
 @dataclass(frozen=True)
 class PositionGrid:
-    """Oracle 1D position grid on [-R, R] with step s.
-
-    Invariants (enforced): R >= L + 6/sqrt(lam) so displaced states up to the
-    phase-grid edge keep their Gaussian tails inside the box, and
-    s <= min(1/(4 sqrt(lam(2M+1))), pi/(4 lam L)) so both the fastest Hermite
-    oscillation and the largest grid modulation frequency are resolved.
-    """
+    """1D position grid t = s * (-K..K), t = 0 among its points, of both
+    position-space oracles: the Riemann sums here and the chirp-z batch
+    (schroedinger.ambiguity_batch).  check enforces _position_bounds: R at
+    least, s at most."""
 
     t: np.ndarray
     s: float
@@ -42,22 +51,15 @@ class PositionGrid:
 
     @staticmethod
     def for_config(cfg: ModelConfig) -> "PositionGrid":
-        lam, M, L = cfg.lam, cfg.M, cfg.L
-        R = L + 6.0 / np.sqrt(lam)
-        s_max = min(1.0 / (4.0 * np.sqrt(lam * (2 * M + 1))),
-                    np.pi / (4.0 * lam * L))
-        num = int(np.ceil(2.0 * R / s_max)) + 1  # points, so step <= s_max
-        if num % 2 == 0:
-            num += 1  # odd count keeps t = 0 on the grid
-        t = np.linspace(-R, R, num)
-        return PositionGrid(t=t, s=float(t[1] - t[0]), R=float(R))
+        R, s = _position_bounds(cfg)
+        K = int(np.ceil(R / s))
+        return PositionGrid(t=s * np.arange(-K, K + 1), s=s, R=K * s)
 
     def check(self, cfg: ModelConfig) -> None:
-        if self.R < cfg.L + 6.0 / np.sqrt(cfg.lam) - 1e-12:
+        R, s = _position_bounds(cfg)
+        if self.R < R * (1 - 1e-12):
             raise ValueError("oracle grid half-width below invariant")
-        s_max = min(1.0 / (4.0 * np.sqrt(cfg.lam * (2 * cfg.M + 1))),
-                    np.pi / (4.0 * cfg.lam * cfg.L))
-        if self.s > s_max * (1 + 1e-12):
+        if self.s > s * (1 + 1e-12):
             raise ValueError("oracle grid step above invariant")
 
 
@@ -89,6 +91,8 @@ def oracle_matrix_element(cfg: ModelConfig, g: HeisenbergElement,
     """
     if cfg.n != 1:
         raise ValueError("oracle matrix elements are implemented for n = 1")
+    if max(j, k) >= cfg.M:  # the grid resolves modes below M only
+        raise ValueError("oracle matrix elements take modes below M")
     if grid is None:
         grid = PositionGrid.for_config(cfg)
     grid.check(cfg)

@@ -188,17 +188,18 @@ def _node_sample(cls: type, grid: PhaseGrid, S: np.ndarray,
     return sample
 
 
-def _guard_node_route(name: str, cfg: ModelConfig, own: int,
+def _guard_node_route(name: str, grid: PhaseGrid, M: int, own: int,
                       beside: int = 0) -> None:
-    """Refuse, before anything is computed, a node route whose working set
-    exceeds the size guard: the cached node table (c and conj(c).T) and B,
-    beside the larger of the caller's node stage (`own` complex entries) and
-    the largest expansion step of _expand_nodes with `beside` entries the
+    """Refuse, before anything is computed, a node route at truncation M on
+    grid whose working set exceeds the size guard: the cached node table (c
+    and conj(c).T) and B, beside the larger of the caller's node stage
+    (`own` complex entries) and the largest expansion step of _expand_nodes
+    with `beside` entries the
     caller holds through the expansion.  Every step holds the caller's node
     tensor (an unnamed argument too: CPython 3.10 frees it only on return)
     and its own input and output; the first step's input is the tensor's
     copy in grid order, freed once that step is done."""
-    M, G, n = cfg.M, cfg.G, cfg.n
+    G, n = grid.G, grid.n
     N = 2 * M - 1
     nodes = N ** (2 * n)
     _refuse_over_guard(name, G ** (2 * n), 2 * M * N * N + N * G + max(
@@ -270,18 +271,6 @@ class RepresentationContext:
         return out.reshape(G ** (2 * n), M ** n)
 
 
-def _position_quadrature(cfg: ModelConfig) -> tuple[np.ndarray, float]:
-    """1D position grid (t, s) of ambiguity_batch: 10 Gaussian decay lengths
-    past the top mode's turning point, a step resolving both sqrt(lam(2M+1))
-    and the grid's largest modulation frequency lam*L, with margin."""
-    lam, M, L = cfg.lam, cfg.M, cfg.L
-    R = np.sqrt((2 * M + 1) / lam) + 10.0 / np.sqrt(lam)
-    s_max = min(0.2 / np.sqrt(lam * (2 * M + 1)), np.pi / (5.0 * lam * L))
-    Np = int(np.ceil(2.0 * R / s_max)) | 1
-    t = np.linspace(-R, R, Np)
-    return t, float(t[1] - t[0])
-
-
 def ambiguity_batch(ctx: RepresentationContext, F: np.ndarray,
                     window: np.ndarray) -> np.ndarray:
     """Values (u_m | pi([a,b,0]) v) on the full 1-axis (a,b) grid, batched in u.
@@ -289,9 +278,10 @@ def ambiguity_batch(ctx: RepresentationContext, F: np.ndarray,
     Quadrature oracle of displacement_1d and the routes on it (F = I, v = e_0
     gives the coherent table); no main-path route calls it.
 
-    F has shape (M, nf): coefficients of nf states u, sampled on the grid of
-    _position_quadrature.  window is the coefficient vector of the window state
-    v (length M, one axis), synthesized at the shifted nodes t - a.
+    F has shape (M, nf): coefficients of nf states u, sampled on
+    oracle.PositionGrid, the Riemann oracle's grid.  window is the coefficient
+    vector of the window state v (length M, one axis), synthesized at the
+    shifted nodes t - a.
     Returns (G, G, nf) with axes (a-index, b-index, batch).
 
     (u | pi([a,b,0]) v) = e^{-i lam a b/2} * s * sum_p u(t_p) conj(v(t_p - a))
@@ -302,12 +292,15 @@ def ambiguity_batch(ctx: RepresentationContext, F: np.ndarray,
     w = e^{i lam h s}.  One CZT call batches all (a, batch) pairs.
     """
     # on demand: scipy.signal pulls in most of scipy, and only this oracle
-    # needs it, so `import berezin` does not pay for it
+    # needs it, so `import berezin` does not pay for it; oracle imports this
+    # module, so its grid comes the same way
     from scipy.signal import CZT
+    from .oracle import PositionGrid
 
     cfg, grid = ctx.cfg, ctx.grid
     lam, G, M = cfg.lam, cfg.G, cfg.M
-    t, s = _position_quadrature(cfg)
+    pos = PositionGrid.for_config(cfg)
+    t, s = pos.t, pos.s
     Np = t.size
     U = hermite_columns(t, M, lam) @ np.asarray(F)
     if U.ndim == 1:

@@ -134,22 +134,24 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
     interpolation matrix B on each of the 2n axes.  Absolute error about
     eps * max|S|.  The size guard counts the expansion and the last node
     step: the tensordot output (M (2M-1)^{2n} entries), multiplied by
-    conj(c) in place, and its sum.  The result keeps its node tensor and
-    B (schroedinger._node_sample), and its values are read-only.
+    conj(c) in place, and its sum; node values that overflow are refused by
+    schroedinger._node_sample.  The result keeps its node tensor and B,
+    and its values are read-only.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if A.dim != cfg.dim:
         raise ValueError("operator dimension mismatch")
     n, M = cfg.n, cfg.M
     N = 2 * M - 1
-    _guard_node_route("covariant symbol", cfg, (M + 1) * N ** (2 * n))
+    _guard_node_route("covariant symbol", grid, M, (M + 1) * N ** (2 * n))
     c, cbar_t = _node_table(M, np.sqrt(2.0))
     S = A.entries.reshape((M,) * (2 * n))
-    for k in range(n):  # axes (m_k.., j_k.., node pairs 1..k-1)
-        S = np.tensordot(S, c, axes=([0], [1]))  # m_k -> node pair k, last
-        S = np.moveaxis(S, n - 1 - k, -2)  # j_k beside it (a view)
-        S *= cbar_t  # in place: the tensordot output is this route's own
-        S = S.sum(axis=-2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused
+        for k in range(n):  # axes (m_k.., j_k.., node pairs 1..k-1)
+            S = np.tensordot(S, c, axes=([0], [1]))  # m_k -> pair k, last
+            S = np.moveaxis(S, n - 1 - k, -2)  # j_k beside it (a view)
+            S *= cbar_t  # in place: the tensordot output is this route's own
+            S = S.sum(axis=-2)
     S = S.reshape((N,) * (2 * n))  # node axes (a_1 b_1 a_2 b_2 ...)
     B = _interpolation_matrix(grid.lam, grid.L, grid.G, M)
     return _node_sample(GridFunction, grid, S, B)

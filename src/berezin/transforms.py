@@ -108,19 +108,21 @@ def _orbit_dft(vals: np.ndarray, sign: int, weight: float) -> np.ndarray:
     (module docstring); the 2n factors (-1)^{G/2} cancel, so the sum is one
     n-D FFT (sign=+1) or unnormalized inverse FFT (sign=-1) between two
     checkerboards.  The checkerboard keeps the last axis whole, so both sign
-    multiplies run over rows of length G.  The first multiply makes the only
-    new array; the FFT and the final scaling run in place on it.
+    multiplies run over rows of length G.  The first, by weight * signs,
+    makes the only new array, so the FFT sums scaled terms (an unscaled sum
+    can overflow where the result is finite); the FFT and the last signs
+    run in place on it.
     """
     G, ndim = vals.shape[0], vals.ndim
     signs = _checkerboard(ndim, G)
     pairs = vals.reshape((G // 2, 2) * (ndim - 1) + (G,))
-    work = (pairs * signs).reshape(vals.shape)
+    work = (pairs * (weight * signs)).reshape(vals.shape)
     if sign > 0:
         work = scipy.fft.fftn(work, overwrite_x=True)
     else:
         work = scipy.fft.ifftn(work, norm="forward", overwrite_x=True)
     out = work.reshape(pairs.shape)  # a view: the FFT output is contiguous
-    out *= weight * signs
+    out *= signs
     return work
 
 
@@ -144,8 +146,9 @@ def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
     node tensor S and interpolation matrix B, values = S expanded by B on
     every axis; the orbit DFT of that is S expanded by FB, the checkerboard
     inverse DFT of B's columns times weight^(1/2n) (the (-1)^{G/2} factors
-    cancel over the 2n axes, as in _orbit_dft).  Every other sample takes
-    the n-D FFT of _orbit_dft.
+    cancel over the 2n axes, as in _orbit_dft).  That route refuses up
+    front the expansion beside its input sample and FB (_guard_node_route).
+    Every other sample takes the n-D FFT of _orbit_dft.
     """
     if type(F) is not GridFunction:
         raise ValueError("inverse_fourier_orbit takes samples on the phase grid")
@@ -153,7 +156,10 @@ def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
         vals = _orbit_dft(F.reshape(), -1, F.weight)
         return OrbitGridFunction(grid=F.grid, values=vals.ravel())
     S, B = F._nodes
-    signs = _checkerboard(1, F.grid.G)[:, None]
+    G, N = B.shape
+    _guard_node_route("inverse orbit transform", F.grid, (N + 1) // 2, 0,
+                      F.grid.num_points + G * N)
+    signs = _checkerboard(1, G)[:, None]
     FB = scipy.fft.ifft(B * signs, axis=0, norm="forward")
     FB *= F.weight ** (0.5 / F.grid.n) * signs
     return _node_sample(OrbitGridFunction, F.grid, S, FB)
@@ -175,18 +181,19 @@ def coefficient_map(ctx: RepresentationContext, f: HermiteState,
     """values_k = (f | pi([a_k, b_k, 0]) phi) over the whole phase grid, any n.
 
     Linear in f and conjugate-linear in phi.  The size guard counts the
-    expansion and the node stage (_map_node_stage).  The result keeps its
-    node tensor and B for inverse_fourier_orbit, and its values are
-    read-only.
+    expansion and the node stage (_map_node_stage); node values that
+    overflow are refused by _node_sample.  The result keeps its node tensor
+    and B for inverse_fourier_orbit, and its values are read-only.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if f.dim != cfg.dim or phi.dim != cfg.dim:
         raise ValueError("state dimension mismatch")
     n, M = cfg.n, cfg.M
-    _guard_node_route("coefficient map", cfg, _map_node_stage(cfg))
+    _guard_node_route("coefficient map", grid, M, _map_node_stage(cfg))
     B = _interpolation_matrix(grid.lam / 2.0, grid.L, cfg.G, M)
-    return _node_sample(GridFunction, grid, _map_nodes(f.coeffs, phi.coeffs,
-                                                       M, n), B)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused
+        S = _map_nodes(f.coeffs, phi.coeffs, M, n)
+    return _node_sample(GridFunction, grid, S, B)
 
 
 def _map_nodes(f: np.ndarray, phi: np.ndarray, M: int, n: int) -> np.ndarray:
@@ -221,9 +228,20 @@ def _map_nodes(f: np.ndarray, phi: np.ndarray, M: int, n: int) -> np.ndarray:
     return X.reshape((N,) * (2 * n))
 
 
+def _guard_wigner(ctx: RepresentationContext) -> None:
+    """Refuse up front the larger of the map's node stage and the Wigner
+    side's node expansion beside the ambiguity table and FB (G x N)."""
+    cfg, grid = ctx.cfg, ctx.grid
+    _guard_node_route("ambiguity and Wigner tables", grid, cfg.M,
+                      _map_node_stage(cfg),
+                      grid.num_points + cfg.G * (2 * cfg.M - 1))
+
+
 def wigner(ctx: RepresentationContext, f: HermiteState,
            phi: HermiteState) -> OrbitGridFunction:
-    """Cross-Wigner distribution: the orbit function whose transform is (f|pi(.)phi)."""
+    """Cross-Wigner distribution: the orbit function whose transform is
+    (f|pi(.)phi), refused before the map runs if its inverse would be."""
+    _guard_wigner(ctx)
     return inverse_fourier_orbit(coefficient_map(ctx, f, phi))
 
 

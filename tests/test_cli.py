@@ -507,6 +507,24 @@ def test_wigner_beyond_both_tables_guard_exits_2(paths, capsys, monkeypatch):
             in capsys.readouterr().err)
 
 
+def test_wigner_refuses_the_count_of_the_library_inverse(paths, capsys):
+    # n = 2, M = 5, G = 56: the command counts the inverse's expansion beside
+    # the ambiguity table and FB, as inverse_fourier_orbit does, and exits 2
+    # before the map runs
+    cfg_path = paths["root"] / "cfg_n2_G56.json"
+    save_config(cfg_path, default_config(n=2, M=5, G=56))
+    state_path = paths["root"] / "n2_state.csv"
+    write_state_csv(state_path, np.eye(25, dtype=complex)[1])
+    out = paths["root"] / "out_n2_G56"
+    start = time.perf_counter()
+    assert main(["wigner", "--config", str(cfg_path), "--state",
+                 str(state_path), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert ("ambiguity and Wigner tables on 9834496 grid points needs "
+            "21257915 complex entries" in capsys.readouterr().err)
+    assert not os.path.exists(out / "ambiguity.csv")
+
+
 def test_report_sweep_beyond_svd_guard_exits_2_up_front(paths, capsys):
     # the SVD guard's need grows with M: M = 46 needs 70094616 > 2^26 at
     # G = 128, so the whole range is refused before the first SVD

@@ -252,13 +252,32 @@ def test_state_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(read_state_csv(p, 6), v)
 
 
+def test_state_csv_is_the_two_column_table(tmp_path):
+    # written as the operator CSV of one column: the bytes of the former
+    # column_stack writer
+    v = np.array([complex(1.5, -0.0), complex(-0.0, 0.0), -2.0 + 1e-300j,
+                  np.pi - 7e300j])
+    p, ref = tmp_path / "state.csv", tmp_path / "ref.csv"
+    write_state_csv(p, v)
+    np.savetxt(ref, np.column_stack([v.real, v.imag]), fmt="%.17g",
+               delimiter=",")
+    assert p.read_bytes() == ref.read_bytes()
+    assert read_state_csv(p, 4).tobytes() == v.tobytes()  # -0.0 too
+
+
 def test_state_csv_errors(tmp_path):
     p = tmp_path / "state.csv"
     p.write_text("1,0,3\n")
+    with pytest.raises(ConfigError, match="line 1: expected 2 values, got 3"):
+        read_state_csv(p, 1)
+    p.write_text("1,junk\n")
     with pytest.raises(ConfigError, match="line 1"):
         read_state_csv(p, 1)
     p.write_text("1,0\n")
     with pytest.raises(ConfigError, match="expected 2 coefficients"):
+        read_state_csv(p, 2)
+    p.write_text("1,0\nnan,0\n")
+    with pytest.raises(ConfigError, match="non-finite"):
         read_state_csv(p, 2)
 
 

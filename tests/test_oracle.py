@@ -18,12 +18,16 @@ from berezin.oracle import (PositionGrid, analytic_singular_values,
 
 
 def test_position_grid_invariants_hold_for_config():
-    for lam in (0.5, 1.0, 4.0):
-        for M in (4, 8, 16):
+    # the linspace grid of the Riemann oracle missed t = 0 at 40 of these
+    # 320 configs
+    for lam in (0.5, 1.0, 1.7, 2.0, 4.0):
+        for M in range(1, 65):
             cfg = default_config(lam=lam, M=M)
             grid = PositionGrid.for_config(cfg)
             grid.check(cfg)  # raises on violation
-            assert grid.R >= cfg.L + 6.0 / np.sqrt(lam) - 1e-12
+            assert grid.R >= (np.sqrt((2 * M + 1) / lam)
+                              + 10.0 / np.sqrt(lam))
+            assert grid.t[-1] == grid.R == -grid.t[0]
             assert 0.0 in grid.t
 
 
@@ -32,6 +36,14 @@ def test_position_grid_check_rejects_coarse_grid():
     grid = PositionGrid.for_config(cfg)
     bad = PositionGrid(t=grid.t[::4], s=grid.s * 4, R=grid.R)
     with pytest.raises(ValueError, match="step"):
+        bad.check(cfg)
+
+
+def test_position_grid_check_rejects_narrow_grid():
+    cfg = default_config(lam=1.0)
+    grid = PositionGrid.for_config(cfg)
+    bad = PositionGrid(t=grid.t[1:-1], s=grid.s, R=grid.R - grid.s)
+    with pytest.raises(ValueError, match="half-width"):
         bad.check(cfg)
 
 
@@ -75,6 +87,13 @@ def test_oracle_frozen_displacement_value():
     val = oracle_matrix_element(cfg, HeisenbergElement([1.0], [0.0]), 0, 0)
     assert val == pytest.approx(0.7788007830714049, abs=1e-10)
     assert abs(val.imag) < 1e-12
+
+
+def test_oracle_refuses_modes_its_grid_does_not_resolve():
+    # the grid of M = 1 read (e_64 | e_64) as 1 - 1.3e-3
+    cfg = default_config(lam=1.0, M=1)
+    with pytest.raises(ValueError, match="modes below M"):
+        oracle_matrix_element(cfg, HeisenbergElement([0.0], [0.0]), 64, 64)
 
 
 def test_oracle_routes_agree():

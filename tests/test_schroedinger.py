@@ -12,7 +12,7 @@ from berezin import (HeisenbergElement, HermiteState, PhasePoint,
                      default_L, gaussian_vector, hermite_columns, multiply,
                      rep_matrix)
 from berezin.schroedinger import (_expand_nodes, _interpolation_matrix,
-                                 _position_quadrature, displacement_1d)
+                                 displacement_1d)
 from berezin.oracle import (PositionGrid, displacement_element,
                             gauss_hermite_matrix_element,
                             oracle_matrix_element, synthesize)
@@ -261,15 +261,15 @@ def test_displacement_column_zero_is_the_coherent_table(ctx):
 
 def test_hermite_columns_orthonormal():
     cfg = default_config(lam=1.0, M=12)
-    t, s = _position_quadrature(cfg)
-    H = hermite_columns(t, cfg.M, cfg.lam)
-    gram = s * (H.T @ H)
+    pg = PositionGrid.for_config(cfg)
+    H = hermite_columns(pg.t, cfg.M, cfg.lam)
+    gram = pg.s * (H.T @ H)
     assert np.abs(gram - np.eye(cfg.M)).max() < 1e-12
 
 
 def test_hermite_columns_vacuum_peak():
     cfg = default_config(lam=2.0, M=4)
-    t, _ = _position_quadrature(cfg)
+    t = PositionGrid.for_config(cfg).t
     H = hermite_columns(t, cfg.M, cfg.lam)
     i0 = np.argmin(np.abs(t))
     closed = (cfg.lam / np.pi) ** 0.25 * np.exp(-cfg.lam * t[i0] ** 2 / 2.0)

@@ -427,9 +427,22 @@ def test_orbit_dft_is_the_per_axis_checkerboard_fft(n, G, sign):
         board = np.multiply.outer(board, axis)
     fft = scipy.fft.fftn if sign > 0 else (
         lambda x: scipy.fft.ifftn(x, norm="forward"))
-    ref = (weight * board) * fft(vals * board)
+    ref = board * fft(vals * (weight * board))  # scaled before the sum
     got = _orbit_dft(vals, sign, weight)
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("transform, cls, top", [
+    (inverse_fourier_orbit, GridFunction, 3.36e307),
+    (fourier_orbit, OrbitGridFunction, 4.87e306)])
+def test_fft_route_serves_transforms_near_the_largest_float(transform, cls,
+                                                            top):
+    # a constant 1e305 on the default config: the unscaled sums, 1.6e309,
+    # overflowed where the transforms are finite
+    grid = RepresentationContext(default_config()).grid
+    got = transform(cls(grid=grid, values=np.full(grid.num_points, 1e305,
+                                                  dtype=complex)))
+    assert np.abs(got.values).max() == pytest.approx(top, rel=1e-3)
 
 
 _NON_FINITE = [complex(np.nan, 0.0), complex(0.0, np.nan),
@@ -528,6 +541,23 @@ def test_node_routes_refuse_outputs_past_the_largest_float(route):
         call(scale)
 
 
+@pytest.mark.parametrize("route", ["symbol", "vacuum map", "window map"])
+def test_node_stage_overflow_is_refused_as_non_finite(route):
+    # finite inputs whose node values overflow: numpy's RuntimeWarning
+    # ("overflow encountered in reduce", "in add", "in dot") was raised
+    # under -W error before the refusal
+    cx = RepresentationContext(default_config())
+    big = 0.9 * _FLOAT_MAX * np.ones(16)
+    with pytest.raises(ValueError, match="non-finite values"):
+        if route == "symbol":
+            covariant_symbol(cx, OperatorMatrix(
+                _FLOAT_MAX / 12.5 * 1.1 * np.ones((16, 16))))
+        else:
+            coefficient_map(cx, HermiteState(big),
+                            gaussian_vector(cx.cfg) if route == "vacuum map"
+                            else HermiteState(np.ones(16)))
+
+
 @pytest.mark.parametrize("route", ["coefficient map", "covariant symbol",
                                    "node inverse"])
 def test_node_routes_serve_inputs_scaled_by_1e280(route):
@@ -552,3 +582,31 @@ def test_node_route_samples_are_not_scanned(ctx, monkeypatch):
     plain = GridFunction(grid=ctx.grid, values=amb.values)
     fourier_orbit(inverse_fourier_orbit(plain))  # the FFT route both ways
     assert sizes == [points] * 3
+
+
+def test_wigner_refuses_the_node_inverse_over_the_guard():
+    # n = 2, M = 5, G = 56: berezin wigner refused (21257915 entries) while
+    # wigner ran to a 326 MiB tracemalloc peak, 1.27x the guard; now wigner
+    # refuses that count before the map runs, and the inverse of a map
+    # refuses it before it builds FB; G = 52 is served
+    vac = gaussian_vector(default_config(n=2, M=5))
+    cx = RepresentationContext(default_config(n=2, M=5, G=56))
+    count = "on 9834496 grid points needs 21257915 complex entries"
+    with pytest.raises(MemoryError, match="Wigner tables " + count):
+        wigner(cx, basis_state(25, 1), vac)
+    amb = coefficient_map(cx, basis_state(25, 1), vac)
+    with pytest.raises(MemoryError, match="inverse orbit transform " + count):
+        inverse_fourier_orbit(amb)
+    del amb
+    cx = RepresentationContext(default_config(n=2, M=5, G=52))
+    assert wigner(cx, basis_state(25, 1), vac).values.size == 52 ** 4
+
+
+def test_node_inverse_guard_bounds_its_peak(guard_ctx, need_and_peak):
+    # the count holds the input sample, so that is made outside the traced
+    # call and added to its peak (64 KiB left for small objects)
+    cfg = guard_ctx.cfg
+    f = _random_state(np.random.default_rng(15), cfg.dim)
+    amb = coefficient_map(guard_ctx, f, gaussian_vector(cfg))
+    need, peak = need_and_peak(lambda: inverse_fourier_orbit(amb))
+    assert peak + amb.values.nbytes <= 16 * need + 65536
