@@ -34,7 +34,7 @@ class ModelConfig:
     n: position dimension (the group has dimension 2n+1).
     lam: scale parameter lambda > 0 of the representation.
     M: Hermite truncation per axis; the truncated space has dimension M**n.
-    L: phase-space half-width per axis.
+    L: phase-space half-width per axis; None takes default_L(lam, M).
     G: grid points per axis (even).
     tol_identity / tol_quadrature: verification tolerances.
     """
@@ -42,7 +42,7 @@ class ModelConfig:
     n: int = 1
     lam: float = 1.0
     M: int = 16
-    L: float = 0.0
+    L: float | None = None
     G: int = 128
     tol_identity: float = 1e-6
     tol_quadrature: float = 1e-5
@@ -55,6 +55,9 @@ class ModelConfig:
             raise ConfigError("n must be a positive integer")
         if int(self.M) != self.M or self.M < 1:
             raise ConfigError("M must be a positive integer")
+        if self.L is None:  # name a bad lam or G before default_L reads lam
+            _validate_lattice(self.lam, 1.0, self.G)
+            object.__setattr__(self, "L", default_L(self.lam, self.M))
         _validate_lattice(self.lam, self.L, self.G)
         for key in ("tol_identity", "tol_quadrature"):
             if not 0 < getattr(self, key) < np.inf:
@@ -72,13 +75,7 @@ def default_L(lam: float, M: int) -> float:
     return 4.0 * np.sqrt((2 * M + 1) / lam)
 
 
-def default_config(n: int = 1, lam: float = 1.0, M: int = 16, L: float | None = None,
-                   G: int = 128, tol_identity: float = 1e-6,
-                   tol_quadrature: float = 1e-5) -> ModelConfig:
-    if L is None:
-        L = default_L(lam, M)
-    return ModelConfig(n=n, lam=lam, M=M, L=L, G=G,
-                       tol_identity=tol_identity, tol_quadrature=tol_quadrature)
+default_config = ModelConfig  # every default is a field default
 
 
 def _validate_lattice(lam: float, L: float, G: int) -> None:

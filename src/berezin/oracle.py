@@ -7,7 +7,9 @@ PositionGrid, which the chirp-z oracle shares, and Fourier transforms are
 literal dense sums.
 The covariant symbol, frame operator and symbol-map SVD, which the main path
 takes from Gauss-Hermite node samples, are read here off the coherent table,
-one grid point per row; the coefficient map off displacement_1d.
+one grid point per row; the coefficient map off displacement_1d; the
+symbol map's singular values in closed form, one Gauss-Laguerre factor per
+rotation charge (analytic_singular_values, 4e-10 relative at M = 16).
 Oracles may be orders of magnitude slower by design; cost-guarded operations
 refuse oversized inputs rather than degrade.
 """
@@ -18,7 +20,7 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.special import eval_hermite
+from scipy.special import eval_hermite, gammaln, roots_genlaguerre
 
 from .core import GridFunction, HermiteState, ModelConfig, OperatorMatrix
 from .heisenberg import HeisenbergElement
@@ -249,31 +251,25 @@ def oracle_double_sum_ft(values: np.ndarray, xi_axis: np.ndarray, x_axis: np.nda
     return orbit_density * eta ** ndim * out
 
 
-def analytic_symbol_gram(M: int) -> np.ndarray:
-    """Closed-form Gram of the symbol map on matrix units (n = 1).
+def analytic_singular_values(M: int) -> np.ndarray:
+    """Descending singular values of the truncated symbol map (n = 1).
 
     S(e_i (x) e_j*)(x) = e^{-lam|x|^2/2} w^i conj(w)^j / sqrt(i! j!), so the
-    L2(mu) pairing of columns (i,j) and (k,l) is radial-polar integrable:
-    delta_{i+l, j+k} * p! / (2^{p+1} sqrt(i! j! k! l!)) with p = i + l.
-    Lambda drops out entirely.
+    L2(mu) Gram of the columns splits by charge d = i - j into blocks D H D
+    of size K = M - |d|, D = diag(1/sqrt(a! (a+|d|)!)), a = min(i, j), and
+    H[a, b] = (a+b+|d|)! / 2^(a+b+|d|+1), the moments of t^|d| e^(-2t) on
+    [0, inf): lambda drops out.  The K-point Gauss-Laguerre rule (s, w) of
+    s^|d| e^(-s) is exact on them, so F[k, a] = sqrt(w_k / 2^(|d|+1))
+    (s_k/2)^a D[a] has F^T F = D H D: the block's singular values, with no
+    squared condition number.  Charges d and -d share them.  sigma_min holds
+    2e-14, 4e-13, 4e-10, 2e-6, 4e-4 relative at M = 8, 12, 16, 24, 32.
     """
-    Gm = np.zeros((M * M, M * M))
-    for i in range(M):
-        for j in range(M):
-            for k in range(M):
-                for ll in range(M):
-                    if i + ll != j + k:
-                        continue
-                    p = i + ll
-                    val = factorial(p) / (2.0 ** (p + 1) * np.sqrt(
-                        float(factorial(i) * factorial(j)
-                              * factorial(k) * factorial(ll))))
-                    Gm[i * M + j, k * M + ll] = val
-    return Gm
-
-
-def analytic_singular_values(M: int) -> np.ndarray:
-    """Descending singular values of the truncated symbol map (n = 1)."""
-    eig = np.linalg.eigvalsh(analytic_symbol_gram(M))
-    eig = np.clip(eig, 0.0, None)
-    return np.sqrt(eig)[::-1]
+    sv = []
+    for d in range(M):
+        s, w = roots_genlaguerre(M - d, d)
+        a = np.arange(M - d)
+        F = np.exp(0.5 * (np.log(w) - (d + 1) * np.log(2.0))[:, None]
+                   + np.log(s / 2.0)[:, None] * a
+                   - 0.5 * (gammaln(a + 1) + gammaln(a + d + 1)))
+        sv += [np.linalg.svd(F, compute_uv=False)] * (1 if d == 0 else 2)
+    return np.sort(np.concatenate(sv))[::-1]

@@ -181,7 +181,10 @@ def covariance_residual(ctx: RepresentationContext, A: OperatorMatrix,
 
     g must be grid-commensurate: its displacement an integer multiple of the
     grid step per axis (the central coordinate is free).  The max runs over
-    grid points z with both z and x.z inside the sup-norm box L/2.
+    grid points z with both z and x.z inside the sup-norm box L/2, one range
+    per axis.  The first symbol is cut to that window before the second is
+    built; the guard counts both operators and two windows (numpy copies the
+    second symbol's in the subtraction) beside covariant_symbol's stages.
     """
     cfg, grid = ctx.cfg, ctx.grid
     h = grid.h
@@ -193,24 +196,19 @@ def covariance_residual(ctx: RepresentationContext, A: OperatorMatrix,
     x = project_to_phase(g)
     if x.sup_norm() > cfg.L / 2:
         raise TruncationError("covariance displacement exceeds L/2")
+    d = rounded.astype(int)  # per axis, z and z + d inside the box
+    box = np.flatnonzero(np.abs(grid.axis) <= cfg.L / 2)  # one range
+    lo, hi = box[0] + np.maximum(0, -d), box[-1] + 1 - np.maximum(0, d)
+    if np.any(hi <= lo):
+        raise ValueError("no valid evaluation points for this displacement")
+    size = int(np.prod(hi - lo))
+    held = 2 * cfg.dim ** 2 + size  # both operators, the first window
+    _guard_node_route("covariance residual", grid, cfg.M, held + (cfg.M + 1)
+                      * (2 * cfg.M - 1) ** (2 * cfg.n), held + size)
     R = rep_matrix(ctx, g).entries
     B = OperatorMatrix(R.conj().T @ A.entries @ R)
-    SB = covariant_symbol(ctx, B).reshape()
-    SA = covariant_symbol(ctx, A).reshape()
-    ax = grid.axis
-    G = grid.G
-    idx, idx_shift = [], []
-    for d in (int(v) for v in rounded):
-        k = np.arange(G)
-        ok = (k + d >= 0) & (k + d < G)
-        k = k[ok]
-        ok = (np.abs(ax[k]) <= cfg.L / 2) & (np.abs(ax[k + d]) <= cfg.L / 2)
-        k = k[ok]
-        idx.append(k)
-        idx_shift.append(k + d)
-    if any(k.size == 0 for k in idx):
-        raise ValueError("no valid evaluation points for this displacement")
-    diff = SB[np.ix_(*idx)] - SA[np.ix_(*idx_shift)]
+    diff = covariant_symbol(ctx, B).reshape()[tuple(map(slice, lo, hi))].copy()
+    diff -= covariant_symbol(ctx, A).reshape()[tuple(map(slice, lo + d, hi + d))]
     return float(np.abs(diff).max())
 
 

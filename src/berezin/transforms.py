@@ -250,13 +250,21 @@ def moyal_residual(ctx: RepresentationContext,
                    f2: HermiteState, phi2: HermiteState) -> tuple[float, float]:
     """Deviation of both transform pairings from (f1|f2) * conj((phi1|phi2)).
 
-    Returns (ambiguity-side residual, Wigner-side residual).
+    Returns (ambiguity-side residual, Wigner-side residual).  The guard
+    counts the second map, or the second inverse with both FB, beside one
+    more table and node tensor; each ambiguity table dies with its inverse.
     """
+    cfg, grid = ctx.cfg, ctx.grid
+    N = 2 * cfg.M - 1
+    held = grid.num_points + N ** (2 * cfg.n)  # a table and its node tensor
+    _guard_node_route("Moyal residual", grid, cfg.M,
+                      held + _map_node_stage(cfg),
+                      held + grid.num_points + 2 * cfg.G * N)
     target = f1.inner(f2) * np.conj(phi1.inner(phi2))
     A1 = coefficient_map(ctx, f1, phi1)
     A2 = coefficient_map(ctx, f2, phi2)
     amb = abs(inner_l2(A1, A2) - target)
-    W1 = inverse_fourier_orbit(A1)
-    W2 = inverse_fourier_orbit(A2)
+    W1, A1 = inverse_fourier_orbit(A1), None
+    W2, A2 = inverse_fourier_orbit(A2), None
     wig = abs(inner_l2(W1, W2) - target)
     return float(amb), float(wig)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ModelConfig, PhaseGrid, HermiteState, OperatorMatrix,
-                   basis_state, default_L, identity_operator, inner_l2,
-                   rank_one)
+                   basis_state, identity_operator, inner_l2, rank_one)
 from .heisenberg import HeisenbergElement, PhasePoint
 from .oracle import (PositionGrid, coherent_overlap_exact,
                      gauss_hermite_matrix_element, oracle_double_sum_ft,
@@ -105,10 +104,9 @@ def run_verification(cfg: ModelConfig, seed: int = 0) -> VerificationReport:
                                   passed=bool(ok), detail=detail))
 
     def make_ctx(M, G):
-        sub = ModelConfig(n=1, lam=lam, M=M, L=default_L(lam, M), G=G,
-                          tol_identity=cfg.tol_identity,
-                          tol_quadrature=cfg.tol_quadrature)
-        return RepresentationContext(sub)
+        return RepresentationContext(ModelConfig(
+            lam=lam, M=M, G=G, tol_identity=cfg.tol_identity,
+            tol_quadrature=cfg.tol_quadrature))
 
     ctx16 = make_ctx(16, 128)
     ctx8 = make_ctx(8, 128)

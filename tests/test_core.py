@@ -19,6 +19,14 @@ def test_default_config_is_valid():
         assert cfg.L == pytest.approx(4.0 * np.sqrt(33.0 / lam))
 
 
+def test_model_config_defaults_L_to_default_L():
+    assert ModelConfig() == default_config()
+    assert ModelConfig(lam=4.0, M=8).L == default_L(4.0, 8)
+    for lam in (-1.0, 0.0, np.nan, np.inf):  # named before default_L reads it
+        with pytest.raises(ConfigError, match="lambda must be"):
+            ModelConfig(lam=lam)
+
+
 def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError):
         ModelConfig(n=0, lam=1.0, M=4, L=10.0, G=32,

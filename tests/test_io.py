@@ -43,10 +43,11 @@ def test_config_rejects_unknown_key():
 
 
 def test_config_rejects_missing_key():
-    base = config_to_dict(default_config())
-    del base["G"]
-    with pytest.raises(ConfigError):
-        config_from_dict(base)
+    for key in ("G", "L"):  # L too, though ModelConfig defaults it
+        base = config_to_dict(default_config())
+        del base[key]
+        with pytest.raises(ConfigError, match="missing config keys: %s$" % key):
+            config_from_dict(base)
 
 
 def test_config_rejects_bad_types():

@@ -2,19 +2,22 @@
 
 Everything here is computed by a route disjoint from the main code path:
 scipy's eval_hermite plus literal Riemann/Gauss-Hermite sums, closed-form
-Laguerre matrix elements, and the analytic Gram of the symbol map.
+Laguerre matrix elements, and the symbol map's closed form by rotation
+charge.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from berezin import HeisenbergElement, default_config
+from math import factorial
+
+from berezin import HeisenbergElement, RepresentationContext, default_config
 from berezin.oracle import (PositionGrid, analytic_singular_values,
-                            analytic_symbol_gram, coherent_overlap_exact,
-                            displacement_element, gauss_hermite_matrix_element,
-                            hermite_basis_value, oracle_double_sum_ft,
-                            oracle_matrix_element, synthesize)
+                            coherent_overlap_exact, displacement_element,
+                            gauss_hermite_matrix_element, hermite_basis_value,
+                            oracle_double_sum_ft, oracle_matrix_element,
+                            synthesize, table_symbol_map)
 
 
 def test_position_grid_invariants_hold_for_config():
@@ -130,12 +133,43 @@ def test_double_sum_guard():
         oracle_double_sum_ft(vals, xi, x, 1.0)
 
 
-def test_analytic_gram_structure():
-    for M in (1, 2, 3, 4):
-        G = analytic_symbol_gram(M)
-        assert G.shape == (M * M, M * M)
-        assert np.abs(G - G.T.conj()).max() < 1e-15
-        assert np.linalg.eigvalsh(G).min() > 0.0
+@pytest.mark.parametrize("M", [4, 6])
+def test_grid_symbol_gram_splits_by_charge(M):
+    # the Gram of the grid map's columns (i, j), (k, l) vanishes off charge
+    # i - j = k - l and is D H D on it, a = min(i, j), d = |i - j|
+    # (analytic_singular_values); measured 2.1e-17 and 3.3e-16 at G = 256
+    entries, _ = table_symbol_map(RepresentationContext(
+        default_config(lam=1.0, M=M, G=256)))
+    gram = entries.conj().T @ entries
+    i, j = np.divmod(np.arange(M * M), M)
+    on = (i - j)[:, None] == (i - j)[None, :]
+    a, d = np.minimum(i, j), np.abs(i - j)
+    p = a[:, None] + a[None, :] + d
+    f = np.array([factorial(k) for k in range(2 * M - 1)], dtype=float)
+    dhd = f[p] / 2.0 ** (p + 1) / np.sqrt(np.outer(f[a] * f[a + d],
+                                                   f[a] * f[a + d]))
+    assert np.abs(gram[~on]).max() <= 1e-16
+    assert np.abs(gram - dhd)[on].max() <= 1e-15
+
+
+@pytest.mark.parametrize("M, rel", [(8, 1e-12), (12, 1e-11), (16, 1e-8)])
+def test_analytic_sigma_min_against_mpmath(M, rel):
+    # 60-digit eigenvalues of every charge block D H D; measured 2.3e-14,
+    # 4.3e-13, 3.9e-10 (the Gram route read 9.8e-11, 1.3e-7, 8.9e-4)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    f = [mp.factorial(k) for k in range(2 * M - 1)]
+    eigs = []
+    for d in range(M):
+        dhd = mp.matrix([[f[a + b + d] / mp.mpf(2) ** (a + b + d + 1)
+                          / mp.sqrt(f[a] * f[a + d] * f[b] * f[b + d])
+                          for b in range(M - d)] for a in range(M - d)])
+        eigs.append(min(mp.eigsy(dhd, eigvals_only=True)))
+    exact = float(mp.sqrt(min(eigs)))
+    assert exact == pytest.approx({8: 6.4867625775208556e-4,
+                                   12: 8.9281251495285645e-6,
+                                   16: 1.1886956979615067e-7}[M], rel=1e-15)
+    assert analytic_singular_values(M)[-1] == pytest.approx(exact, rel=rel)
 
 
 def test_analytic_singular_values_closed_forms():

@@ -265,6 +265,49 @@ def test_covariance_single_grid_steps(ctx):
         assert covariance_residual(ctx, P, g) < 10.0 * ctx.cfg.tol_identity
 
 
+def test_covariance_window_is_the_old_index_set():
+    # one slice per axis equals the masks it replaced, bit for bit
+    cx = RepresentationContext(default_config(n=2, lam=1.0, M=3, G=24))
+    A = _random_operator(np.random.default_rng(19), 9)
+    h, L, ax = cx.grid.h, cx.cfg.L, cx.grid.axis
+    steps = (2, -3, 0, 1)
+    g = HeisenbergElement([2 * h, -3 * h], [0.0, h], 0.4)
+    R = schroedinger.rep_matrix(cx, g).entries
+    SB = covariant_symbol(cx, OperatorMatrix(R.conj().T @ A.entries @ R))
+    SA = covariant_symbol(cx, A)
+    idx = [np.flatnonzero((np.abs(ax) <= L / 2)
+                          & (np.abs(ax[(np.arange(24) + d) % 24]) <= L / 2)
+                          & (np.arange(24) + d >= 0) & (np.arange(24) + d < 24))
+           for d in steps]
+    old = SB.reshape()[np.ix_(*idx)] - SA.reshape()[
+        np.ix_(*[k + d for k, d in zip(idx, steps)])]
+    assert covariance_residual(cx, A, g) == float(np.abs(old).max())
+
+
+def test_covariance_guard_bounds_its_peak(guard_ctx, need_and_peak):
+    # the count holds both operators and the first symbol's window beside
+    # the second symbol, and numpy's copy of its window in the subtraction
+    # (64 KiB left for small objects); it peaked at 2.04x the symbol's count
+    # at n = 1, (16, 512), holding both symbols and both np.ix_ windows
+    cfg, h = guard_ctx.cfg, guard_ctx.grid.h
+    A = _random_operator(np.random.default_rng(23), cfg.dim)
+    g = HeisenbergElement([h] * cfg.n, [-h] * cfg.n, 0.3)
+    need, peak = need_and_peak(lambda: covariance_residual(guard_ctx, A, g))
+    assert peak <= 16 * need + 65536
+
+
+def test_covariance_refuses_its_count_over_the_guard(monkeypatch, ctx):
+    # a guard at the symbol's own count (56033) serves the symbol, not the
+    # residual: + 2 * 3906 window entries + 2 * 16^2 operator entries
+    h = ctx.grid.h
+    g = HeisenbergElement([3 * h], [-2 * h])
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 56033)
+    covariant_symbol(ctx, identity_operator(16))
+    with pytest.raises(MemoryError, match="covariance residual on 16384 "
+                       "grid points needs 64357 complex entries"):
+        covariance_residual(ctx, identity_operator(16), g)
+
+
 def test_covariance_rejects_off_lattice(ctx):
     A = identity_operator(16)
     with pytest.raises(ValueError, match="commensurate"):
@@ -283,6 +326,17 @@ def test_symbol_map_singular_values_match_analytic():
         cx = RepresentationContext(default_config(lam=1.0, M=M))
         sv = build_symbol_map(cx)
         np.testing.assert_allclose(sv, analytic_singular_values(M), atol=1e-9)
+
+
+@pytest.mark.parametrize("M", [8, 12, 16])
+def test_symbol_map_matches_closed_form_at_fine_grid(M):
+    # G = 256 resolves the continuum pairing (G = 128 reads sigma_min 1.25e-4
+    # high at M = 16); measured <= 2.0e-15 sigma_max and <= 3.7e-10 relative
+    sv = build_symbol_map(RepresentationContext(
+        default_config(lam=1.0, M=M, G=256)))
+    exact = analytic_singular_values(M)
+    assert np.abs(sv - exact).max() <= 1e-14 * exact[0]
+    assert sv[-1] == pytest.approx(exact[-1], rel=1e-8)
 
 
 def test_symbol_map_column_norms_match_symbol_norms(ctx8):

@@ -16,7 +16,7 @@ from berezin import (GridFunction, HermiteState, ModelConfig, OperatorMatrix,
                      moyal_residual, orbit_inner, wigner)
 from berezin.oracle import oracle_double_sum_ft
 from berezin.schroedinger import ambiguity_batch
-from berezin.transforms import OrbitGridFunction, _orbit_dft
+from berezin.transforms import OrbitGridFunction, _guard_wigner, _orbit_dft
 
 
 @pytest.fixture(scope="module")
@@ -610,3 +610,27 @@ def test_node_inverse_guard_bounds_its_peak(guard_ctx, need_and_peak):
     amb = coefficient_map(guard_ctx, f, gaussian_vector(cfg))
     need, peak = need_and_peak(lambda: inverse_fourier_orbit(amb))
     assert peak + amb.values.nbytes <= 16 * need + 65536
+
+
+def test_moyal_residual_guard_bounds_its_peak(guard_ctx, need_and_peak):
+    # the count holds both ambiguity tables, then one of them and both
+    # Wigner tables, with their node tensors and FB (64 KiB left for small
+    # objects); it held all four tables, 165.3 MiB at n = 2, (5, 40),
+    # against the 87.0 MiB count of wigner, the largest it checked
+    cfg = guard_ctx.cfg
+    rng = np.random.default_rng(17)
+    f1, p1, f2, p2 = (_random_state(rng, cfg.dim) for _ in range(4))
+    need, peak = need_and_peak(lambda: moyal_residual(guard_ctx, f1, p1,
+                                                      f2, p2))
+    assert peak <= 16 * need + 65536
+
+
+def test_moyal_residual_refuses_its_count_over_the_guard():
+    # n = 2, M = 5, G = 48: wigner's count (11620395) is served, the Moyal
+    # residual's two tables beside the second route's are not
+    cx = RepresentationContext(default_config(n=2, M=5, G=48))
+    vac = gaussian_vector(cx.cfg)
+    with pytest.raises(MemoryError, match="Moyal residual on 5308416 grid "
+                       "points needs 16935804 complex entries"):
+        moyal_residual(cx, basis_state(25, 1), vac, basis_state(25, 2), vac)
+    _guard_wigner(cx)
