@@ -3,8 +3,8 @@
 Everything here exists to cross-check the fast paths and deliberately shares no
 quadrature code with them: basis functions come from scipy.special.eval_hermite
 instead of the in-package recurrence, integrals use Gauss-Hermite nodes or
-PositionGrid, which the chirp-z oracle shares, and Fourier transforms are
-literal dense sums.
+PositionGrid, which the batched Riemann sum schroedinger.ambiguity_batch
+shares, and Fourier transforms are literal dense sums.
 The covariant symbol, frame operator and symbol-map SVD, which the main path
 takes from Gauss-Hermite node samples, are read here off the coherent table,
 one grid point per row; the coefficient map off displacement_1d; the
@@ -24,9 +24,11 @@ from scipy.special import eval_hermite, gammaln, roots_genlaguerre
 
 from .core import GridFunction, HermiteState, ModelConfig, OperatorMatrix
 from .heisenberg import HeisenbergElement
-from .schroedinger import RepresentationContext, displacement_1d
+from .schroedinger import (RepresentationContext, _refuse_over_guard,
+                           displacement_1d)
 
 _MAX_MODE = 64  # eval_hermite values stay inside float64 range up to here
+_GH_ORDER = 180  # nodes of gauss_hermite_matrix_element's rule
 
 
 def _position_bounds(cfg: ModelConfig) -> tuple[float, float]:
@@ -43,7 +45,7 @@ def _position_bounds(cfg: ModelConfig) -> tuple[float, float]:
 @dataclass(frozen=True)
 class PositionGrid:
     """1D position grid t = s * (-K..K), t = 0 among its points, of both
-    position-space oracles: the Riemann sums here and the chirp-z batch
+    position-space oracles: the Riemann sums here and their batched form
     (schroedinger.ambiguity_batch).  check enforces _position_bounds: R at
     least, s at most."""
 
@@ -107,17 +109,17 @@ def oracle_matrix_element(cfg: ModelConfig, g: HeisenbergElement,
     return complex(grid.s * np.sum(phase * moved * ej))
 
 
-@lru_cache(maxsize=8)
-def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights, built once per order, read-only."""
-    u, w = np.polynomial.hermite.hermgauss(order)
+@lru_cache(maxsize=1)
+def _hermgauss() -> tuple[np.ndarray, np.ndarray]:
+    """The _GH_ORDER Gauss-Hermite nodes and weights, built once, read-only."""
+    u, w = np.polynomial.hermite.hermgauss(_GH_ORDER)
     u.flags.writeable = False
     w.flags.writeable = False
     return u, w
 
 
 def gauss_hermite_matrix_element(cfg: ModelConfig, g: HeisenbergElement,
-                                 j: int, k: int, order: int = 180) -> complex:
+                                 j: int, k: int) -> complex:
     """(pi(g) e_k | e_j) by Gauss-Hermite quadrature (n = 1).
 
     Completing the square in e_j(t) e_k(t-a) leaves weight e^{-u^2} around
@@ -136,7 +138,7 @@ def gauss_hermite_matrix_element(cfg: ModelConfig, g: HeisenbergElement,
         raise ValueError("mode index beyond oracle overflow guard")
     lam = cfg.lam
     a, b, c = float(g.a[0]), float(g.b[0]), g.c
-    u, w = _hermgauss(order)
+    u, w = _hermgauss()
     atil = np.sqrt(lam) * a
     nj = 1.0 / np.sqrt(2.0 ** j * factorial(j) * np.sqrt(np.pi))
     nk = 1.0 / np.sqrt(2.0 ** k * factorial(k) * np.sqrt(np.pi))
@@ -207,18 +209,22 @@ def table_symbol_map(ctx: RepresentationContext) -> tuple[np.ndarray, np.ndarray
 
 def table_coefficient_map(ctx: RepresentationContext, f: HermiteState,
                           phi: HermiteState) -> GridFunction:
-    """(f | pi(x) phi) = sum_{m,j} f_m conj(phi_j) prod_k T[a_k, b_k, m_k, j_k],
+    """(f | pi(x) phi) = sum_{m,j} f_m conj(phi_j) prod_k T[m_k, j_k, a_k, b_k],
     T = conj(displacement_1d) at every grid point: no interpolation.  Oracle of
-    transforms.coefficient_map; holds T and twice the output, up to 2^24."""
+    transforms.coefficient_map.  T is built one a-row at a time, whose
+    displacement_1d holds about 4.5 times that row; the count refused over the
+    size guard is T, five rows and twice the output."""
     n, M, G = ctx.cfg.n, ctx.cfg.M, ctx.cfg.G
-    if 2 * G ** (2 * n) + G * G * M * M > 2 ** 24:
-        raise MemoryError("table coefficient map over the size guard")
-    ax = ctx.grid.axis
-    T = np.conj(displacement_1d(ctx.cfg.lam, ax[:, None], ax[None, :], M))
+    _refuse_over_guard("table coefficient map", G ** (2 * n),
+                       2 * G ** (2 * n) + (G + 5) * G * M * M)
+    lam, ax = ctx.cfg.lam, ctx.grid.axis
+    T = np.empty((M, M, G, G), dtype=complex)  # contracted axes first: no copy
+    for i, a in enumerate(ax):  # displacement_1d's axes (b, m, j) to (m, j, b)
+        T[:, :, i] = np.conj(displacement_1d(lam, a, ax, M)).transpose(1, 2, 0)
     X = np.multiply.outer(f.coeffs.reshape((M,) * n),
                           np.conj(phi.coeffs).reshape((M,) * n))
     for k in range(n):  # contract (m_k, j_k), the first m and j left; append
-        X = np.tensordot(X, T, axes=([0, n - k], [2, 3]))  # (a_k, b_k)
+        X = np.tensordot(X, T, axes=([0, n - k], [0, 1]))  # (a_k, b_k)
     X = X.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
     return GridFunction(grid=ctx.grid, values=X)
 

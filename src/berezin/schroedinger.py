@@ -11,9 +11,8 @@ pi(x) phi is column 0, conj(C_d) per axis, so coherent_state and the coherent
 table read the Bargmann columns C_d directly and build no matrix; rep_matrix
 builds its matrix per query (nothing is cached) and apply_group applies the
 displacement_1d factors axis by axis without building it.
-ambiguity_batch's chirp-z quadrature is the oracle of all of them; it imports
-scipy.signal on its first call, so importing this module loads only
-scipy.special (and numpy).
+ambiguity_batch, the position-space Riemann sum batched as one matmul, is
+the oracle of all of them.
 
 The coefficient map and the covariant symbol take their values at the
 Gauss-Hermite node pairs from _node_table and carry them to the grid with one
@@ -286,37 +285,31 @@ def ambiguity_batch(ctx: RepresentationContext, F: np.ndarray,
 
     (u | pi([a,b,0]) v) = e^{-i lam a b/2} * s * sum_p u(t_p) conj(v(t_p - a))
                            e^{+i lam b t_p},
-    and the t->b sum over the uniform grids is a chirp-z transform: with
-    b_k = (k - G/2) h and t_p = t_0 + p s,
-    e^{i lam b_k t_p} = e^{i lam b_k t_0} e^{-i lam (G/2) h s p} w^{pk},
-    w = e^{i lam h s}.  One CZT call batches all (a, batch) pairs.
+    the Riemann sum of oracle_matrix_element; the t -> b sum is one matmul
+    with the (G, Np) table e^{i lam b t_p} for all (a, batch) pairs.  Refuses
+    up front, by _refuse_over_guard, a count of the (G, Np, nf) product, the
+    (G, Np, M) float table of the shifted Hermite functions, the phase table
+    and the output.
     """
-    # on demand: scipy.signal pulls in most of scipy, and only this oracle
-    # needs it, so `import berezin` does not pay for it; oracle imports this
-    # module, so its grid comes the same way
-    from scipy.signal import CZT
-    from .oracle import PositionGrid
+    from .oracle import PositionGrid  # oracle imports this module
 
     cfg, grid = ctx.cfg, ctx.grid
     lam, G, M = cfg.lam, cfg.G, cfg.M
     pos = PositionGrid.for_config(cfg)
     t, s = pos.t, pos.s
-    Np = t.size
-    U = hermite_columns(t, M, lam) @ np.asarray(F)
-    if U.ndim == 1:
-        U = U[:, None]
+    F = np.asarray(F).reshape(M, -1)
     window = np.asarray(window, dtype=complex).ravel()
     if window.size != M:
         raise ValueError("window must have one coefficient per axis mode")
+    Np, nf = t.size, F.shape[1]
+    _refuse_over_guard("ambiguity batch", G * G,
+                       G * Np * (nf + (M + 1) // 2 + 1) + G * G * nf)
+    U = hermite_columns(t, M, lam) @ F
     ax = grid.axis
     vshift = np.conj(hermite_columns(t[None, :] - ax[:, None], M, lam) @ window)
-    pre = np.exp(-1j * lam * (G / 2.0) * grid.h * s * np.arange(Np))
-    Y = vshift[:, :, None] * (U * pre[:, None])[None, :, :]
-    plan = CZT(Np, m=G, w=np.exp(1j * lam * grid.h * s), a=1.0 + 0.0j)
-    Z = plan(Y, axis=1)  # (G_a, G_b, nf)
-    post_b = np.exp(1j * lam * ax * t[0])
-    cross = np.exp(-1j * lam * np.outer(ax, ax) / 2.0)
-    return s * Z * post_b[None, :, None] * cross[:, :, None]
+    Z = np.matmul(np.exp(1j * lam * np.outer(ax, t)), vshift[:, :, None] * U)
+    Z *= s * np.exp(-1j * lam * np.outer(ax, ax) / 2.0)[:, :, None]
+    return Z  # (G_a, G_b, nf)
 
 
 def gaussian_vector(cfg: ModelConfig) -> HermiteState:

@@ -3,9 +3,10 @@
 The table is built from e^{-|w|^2/2} w^m / sqrt(m!), for the oracles and
 tests only.  The coefficient map, for any n, takes Laguerre recurrences on
 the same columns at the Gauss-Hermite node pairs and interpolates them to
-the grid; it never builds the table.  The position-space chirp-z quadrature
-ambiguity_batch checks both, and oracle.table_coefficient_map, the closed
-form at every grid point, checks the map to rounding.
+the grid; it never builds the table.  The position-space Riemann sum
+ambiguity_batch, batched as one matmul, checks both to rounding, and
+oracle.table_coefficient_map, the closed form at every grid point, checks the
+map to rounding.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from berezin import (HermiteState, ModelConfig, PhasePoint,
                      RepresentationContext, analysis, coefficient_map,
                      coherent_state, default_L, gaussian_vector)
 from berezin import schroedinger
-from berezin.oracle import table_coefficient_map
+from berezin.oracle import PositionGrid, table_coefficient_map
 from berezin.schroedinger import ambiguity_batch
 
 FLOOR = 2.0 ** -511
@@ -46,7 +47,7 @@ def test_closed_form_table_matches_quadrature(lam, M, G):
     e0 = np.zeros(M, dtype=complex)
     e0[0] = 1.0
     ref = ambiguity_batch(ctx, np.eye(M), e0).reshape(G * G, M)
-    assert np.abs(ctx.coherent_table() - ref).max() < 1e-10
+    assert np.abs(ctx.coherent_table() - ref).max() < 1e-13  # measured 1.7e-15
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
@@ -64,7 +65,31 @@ def test_coefficient_map_matches_quadrature(lam, M, G):
         got = coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
         ref = _quadrature_map(ctx, f, phi)
         scale = np.linalg.norm(f) * np.linalg.norm(phi)
-        assert np.abs(got - ref).max() < 1e-9 * scale
+        assert np.abs(got - ref).max() < 1e-13 * scale  # measured 2.0e-15
+
+
+@pytest.mark.parametrize("M,G", [(4, 32), (16, 128), (32, 128)])
+def test_quadrature_guard_bounds_its_peak(need_and_peak, M, G):
+    # the count adds the shifted-Hermite table, freed before the (G, Np, M)
+    # product exists, to the product, the phase table and the output
+    ctx = _ctx(1.0, M, G)
+    e0 = np.eye(M)[0]
+    need, peak = need_and_peak(lambda: ambiguity_batch(ctx, np.eye(M), e0))
+    assert peak <= 16 * need + 65536
+    assert peak <= 200 * 2 ** 20  # measured 178 MiB at (32, 128)
+
+
+def test_quadrature_guard_names_its_count(monkeypatch):
+    ctx = _ctx(1.0, 4, 32)
+    Np = PositionGrid.for_config(ctx.cfg).t.size
+    need = 32 * Np * (4 + 2 + 1) + 32 * 32 * 4
+    e0 = np.eye(4)[0]
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
+    with pytest.raises(MemoryError, match="1024 grid points needs %d complex "
+                       "entries" % need):
+        ambiguity_batch(ctx, np.eye(4), e0)
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
+    assert ambiguity_batch(ctx, np.eye(4), e0).shape == (32, 32, 4)
 
 
 def test_vacuum_window_matches_table_product():
@@ -97,15 +122,15 @@ def test_coefficient_map_needs_no_table(monkeypatch, no_table):
     # a guard at the table's own size refuses the table (its build
     # temporaries put it over), while the map fits
     ctx = _ctx(1.0, 16, 64)
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 64 * 64 * 16)
     rng = np.random.default_rng(3)
     f, phi = _random_coeffs(rng, 16), _random_coeffs(rng, 16)
+    ref = _quadrature_map(ctx, f, phi)  # over that guard too
+    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 64 * 64 * 16)
     with no_table():
         got = coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
     with pytest.raises(MemoryError):
         ctx.coherent_table()
-    ref = _quadrature_map(ctx, f, phi)
-    assert np.abs(got - ref).max() < 1e-9 * np.linalg.norm(f) * np.linalg.norm(phi)
+    assert np.abs(got - ref).max() < 1e-13 * np.linalg.norm(f) * np.linalg.norm(phi)
 
 
 def test_n2_coefficient_map_needs_no_table(no_table):
@@ -143,6 +168,18 @@ def test_n2_entangled_map_matches_table_oracle():
     ref = table_coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
     scale = np.linalg.norm(f) * np.linalg.norm(phi)
     assert np.abs(got - ref).max() < 5e-15 * scale  # measured 4.2e-16
+
+
+@pytest.mark.parametrize("n,M,G", [(1, 16, 128), (1, 8, 256), (2, 5, 40)])
+def test_table_oracle_guard_bounds_its_peak(need_and_peak, n, M, G):
+    # T is built one a-row at a time, so displacement_1d's temporaries (about
+    # 4.5 times its output) stay within the count's five rows
+    ctx = _ctx(1.0, M, G, n=n)
+    rng = np.random.default_rng(10)
+    f, phi = (HermiteState(_random_coeffs(rng, M ** n)) for _ in range(2))
+    need, peak = need_and_peak(lambda: table_coefficient_map(ctx, f, phi))
+    assert need == 2 * G ** (2 * n) + (G + 5) * G * M * M
+    assert peak <= 16 * need + 65536
 
 
 @pytest.mark.parametrize("window", ["vacuum", "general"])

@@ -1,9 +1,11 @@
-"""What a fresh interpreter loads to import the package and to start the CLI.
+"""What a fresh interpreter loads to import the package, to start the CLI and
+to run the position-space quadrature oracle.
 
-scipy.signal pulls in scipy.stats, optimize, integrate, interpolate, ndimage,
-sparse and spatial; only the chirp-z oracle (ambiguity_batch) needs it, and
-it imports it on its first call.  Start-up loads scipy.special and scipy.fft
-and scipy's private and meta modules, nothing else of scipy.
+Start-up loads scipy.special and scipy.fft and scipy's private and meta
+modules, nothing else of scipy.  No module of the package imports
+scipy.signal, which pulls in scipy.stats, optimize, integrate, interpolate,
+ndimage, sparse and spatial: ambiguity_batch sums its Riemann quadrature
+with one matmul.
 """
 from __future__ import annotations
 
@@ -44,3 +46,14 @@ def test_startup_loads_only_special_and_fft_of_scipy(args):
     assert public == PUBLIC
     assert "scipy.signal" not in mods
 
+
+
+def test_quadrature_oracle_loads_no_scipy_signal():
+    # _imported fails on the child's exit code, so on either assert
+    _imported("-c", "import sys, numpy as np; "
+              "from berezin import ModelConfig, RepresentationContext; "
+              "from berezin.schroedinger import ambiguity_batch; "
+              "ctx = RepresentationContext(ModelConfig(M=4, G=32)); "
+              "Z = ambiguity_batch(ctx, np.eye(4), np.eye(4)[0]); "
+              "assert Z.shape == (32, 32, 4), Z.shape; "
+              "assert 'scipy.signal' not in sys.modules")

@@ -361,7 +361,7 @@ def test_n2_fourier_round_trip():
 
 
 def test_n2_map_matches_per_axis_quadrature():
-    # (f | pi(x) phi) for entangled f and phi against chirp-z quadrature
+    # (f | pi(x) phi) for entangled f and phi against Riemann-sum quadrature
     # tables T[a, b, m, j] = (e_m | pi([a,b,0]) e_j) of one axis
     lam, M, G = 1.0, 4, 32
     c1 = ModelConfig(n=1, lam=lam, M=M, L=default_L(lam, M), G=G,
@@ -376,7 +376,8 @@ def test_n2_map_matches_per_axis_quadrature():
     ref = np.einsum("ABmj,CDnl,mn,jl->ACBD", T, T,
                     f.coeffs.reshape(M, M), np.conj(phi.coeffs).reshape(M, M),
                     optimize=True)
-    assert np.abs(got - ref).max() < 1e-10 * f.norm() * phi.norm()
+    # measured 5.8e-16: the quadrature resolves the closed form to rounding
+    assert np.abs(got - ref).max() < 1e-13 * f.norm() * phi.norm()
 
 
 def test_n3_map_is_the_product_of_1d_maps():
