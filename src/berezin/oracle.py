@@ -3,8 +3,9 @@
 Everything here exists to cross-check the fast paths and deliberately shares no
 quadrature code with them: basis functions come from scipy.special.eval_hermite
 instead of the in-package recurrence, integrals use Gauss-Hermite nodes or
-PositionGrid, which the batched Riemann sum schroedinger.ambiguity_batch
-shares, and Fourier transforms are literal dense sums.
+one Riemann sum on PositionGrid (riemann_sum, behind both
+oracle_matrix_element and schroedinger.ambiguity_batch), and Fourier
+transforms are literal dense sums.
 The covariant symbol, frame operator and symbol-map SVD, which the main path
 takes from Gauss-Hermite node samples, are read here off the coherent table,
 one grid point per row; the coefficient map off displacement_1d; the
@@ -44,10 +45,9 @@ def _position_bounds(cfg: ModelConfig) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PositionGrid:
-    """1D position grid t = s * (-K..K), t = 0 among its points, of both
-    position-space oracles: the Riemann sums here and their batched form
-    (schroedinger.ambiguity_batch).  check enforces _position_bounds: R at
-    least, s at most."""
+    """1D position grid t = s * (-K..K), t = 0 among its points, of the
+    position-space Riemann sum (riemann_sum); for_config meets
+    _position_bounds: R at least, s at most."""
 
     t: np.ndarray
     s: float
@@ -59,13 +59,6 @@ class PositionGrid:
         K = int(np.ceil(R / s))
         return PositionGrid(t=s * np.arange(-K, K + 1), s=s, R=K * s)
 
-    def check(self, cfg: ModelConfig) -> None:
-        R, s = _position_bounds(cfg)
-        if self.R < R * (1 - 1e-12):
-            raise ValueError("oracle grid half-width below invariant")
-        if self.s > s * (1 + 1e-12):
-            raise ValueError("oracle grid step above invariant")
-
 
 def hermite_basis_value(lam: float, m: int, t: np.ndarray) -> np.ndarray:
     """e_m(t) via scipy's physicists' Hermite polynomial, explicit normalization."""
@@ -76,19 +69,54 @@ def hermite_basis_value(lam: float, m: int, t: np.ndarray) -> np.ndarray:
     return norm * eval_hermite(m, y) * np.exp(-y * y / 2.0)
 
 
-def synthesize(coeffs: np.ndarray, grid: PositionGrid, lam: float) -> np.ndarray:
-    """Pointwise values sum_m coeffs[m] e_m(t) on the oracle grid (n = 1)."""
+def synthesize(coeffs: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
+    """Values sum_m coeffs[m] e_m(t) at points t of any shape (n = 1).
+
+    coeffs is a vector (values of shape t.shape) or an (M, k) matrix, one
+    state per column (values of shape t.shape + (k,)).  Only the modes with a
+    nonzero coefficient are evaluated, each by hermite_basis_value.
+    """
     coeffs = np.asarray(coeffs, dtype=complex)
-    out = np.zeros(grid.t.shape, dtype=complex)
-    for m, c in enumerate(coeffs):
-        if c != 0.0:
-            out += c * hermite_basis_value(lam, m, grid.t)
+    out = np.zeros(np.shape(t) + coeffs.shape[1:], dtype=complex)
+    for m in np.flatnonzero(coeffs.reshape(len(coeffs), -1).any(axis=1)):
+        out += np.multiply.outer(hermite_basis_value(lam, m, t), coeffs[m])
     return out
 
 
+def riemann_sum(cfg: ModelConfig, a, b, F: np.ndarray,
+                window: np.ndarray) -> np.ndarray:
+    """(u | pi([a,b,0]) v) for every a in `a`, b in `b` and u in F (n = 1).
+
+    F holds the coefficients of the states u (a vector or (M, nf) columns),
+    window those of v; both are synthesized on PositionGrid.for_config(cfg),
+    v at the shifted points t - a, and
+
+      (u | pi([a,b,0]) v) = e^{-i lam a b/2} s sum_p u(t_p) conj(v(t_p - a))
+                            e^{+i lam b t_p}
+
+    is one matmul with the (Gb, Np) table e^{i lam b t_p} for every (a, u)
+    pair.  Returns (Ga, Gb, nf).  Refuses up front, by _refuse_over_guard, a
+    count of the u values, the (Ga, Np, nf) product, the shifted v values and
+    one more (Ga, Np) array to synthesize them, the phase table and the output.
+    """
+    a, b = (np.asarray(x, dtype=float).ravel() for x in (a, b))
+    lam, pos = cfg.lam, PositionGrid.for_config(cfg)
+    t = pos.t
+    F = np.asarray(F).reshape(cfg.M, -1)
+    Np, nf = t.size, F.shape[1]
+    _refuse_over_guard("Riemann sum", a.size * b.size,
+                       Np * nf + a.size * Np * (nf + 2) + b.size * Np
+                       + a.size * b.size * nf)
+    vshift = np.conj(synthesize(window, t - a[:, None], lam))
+    Z = np.matmul(np.exp(1j * lam * np.outer(b, t)),
+                  vshift[:, :, None] * synthesize(F, t, lam))
+    Z *= pos.s * np.exp(-1j * lam * np.outer(a, b) / 2.0)[:, :, None]
+    return Z
+
+
 def oracle_matrix_element(cfg: ModelConfig, g: HeisenbergElement,
-                          j: int, k: int, grid: PositionGrid | None = None) -> complex:
-    """(pi(g) e_k | e_j) by direct position-space Riemann sum (n = 1).
+                          j: int, k: int) -> complex:
+    """(pi(g) e_k | e_j) = e^{i lam c} conj(riemann_sum(e_j, e_k)) (n = 1).
 
     This is the (j, k) entry of the representation matrix: the coefficient of
     e_j in pi(g) e_k.  For central g = [0,0,c] and j = k it returns e^{i lam c}.
@@ -97,16 +125,9 @@ def oracle_matrix_element(cfg: ModelConfig, g: HeisenbergElement,
         raise ValueError("oracle matrix elements are implemented for n = 1")
     if max(j, k) >= cfg.M:  # the grid resolves modes below M only
         raise ValueError("oracle matrix elements take modes below M")
-    if grid is None:
-        grid = PositionGrid.for_config(cfg)
-    grid.check(cfg)
-    lam = cfg.lam
-    a, b, c = float(g.a[0]), float(g.b[0]), g.c
-    t = grid.t
-    moved = hermite_basis_value(lam, k, t - a)
-    phase = np.exp(1j * lam * (c - b * t + 0.5 * a * b))
-    ej = hermite_basis_value(lam, j, t)
-    return complex(grid.s * np.sum(phase * moved * ej))
+    e = np.eye(cfg.M)
+    z = riemann_sum(cfg, g.a[0], g.b[0], e[j], e[k])[0, 0, 0]
+    return complex(np.exp(1j * cfg.lam * g.c) * np.conj(z))
 
 
 @lru_cache(maxsize=1)
@@ -129,8 +150,8 @@ def gauss_hermite_matrix_element(cfg: ModelConfig, g: HeisenbergElement,
           * int e^{-u^2} N_j H_j(u + atil/2) N_k H_k(u - atil/2)
                 e^{-i sqrt(lam) b (u + atil/2)} du / sqrt(pi-free norms)
 
-    evaluated on hermgauss nodes.  Third error profile, independent of both
-    Riemann paths.
+    evaluated on hermgauss nodes.  An error profile independent of the
+    Riemann sum.
     """
     if cfg.n != 1:
         raise ValueError("oracle matrix elements are implemented for n = 1")

@@ -11,8 +11,8 @@ pi(x) phi is column 0, conj(C_d) per axis, so coherent_state and the coherent
 table read the Bargmann columns C_d directly and build no matrix; rep_matrix
 builds its matrix per query (nothing is cached) and apply_group applies the
 displacement_1d factors axis by axis without building it.
-ambiguity_batch, the position-space Riemann sum batched as one matmul, is
-the oracle of all of them.
+ambiguity_batch, oracle.riemann_sum on the whole grid, is the oracle of all
+of them.
 
 The coefficient map and the covariant symbol take their values at the
 Gauss-Hermite node pairs from _node_table and carry them to the grid with one
@@ -275,41 +275,18 @@ def ambiguity_batch(ctx: RepresentationContext, F: np.ndarray,
     """Values (u_m | pi([a,b,0]) v) on the full 1-axis (a,b) grid, batched in u.
 
     Quadrature oracle of displacement_1d and the routes on it (F = I, v = e_0
-    gives the coherent table); no main-path route calls it.
-
-    F has shape (M, nf): coefficients of nf states u, sampled on
-    oracle.PositionGrid, the Riemann oracle's grid.  window is the coefficient
-    vector of the window state v (length M, one axis), synthesized at the
-    shifted nodes t - a.
-    Returns (G, G, nf) with axes (a-index, b-index, batch).
-
-    (u | pi([a,b,0]) v) = e^{-i lam a b/2} * s * sum_p u(t_p) conj(v(t_p - a))
-                           e^{+i lam b t_p},
-    the Riemann sum of oracle_matrix_element; the t -> b sum is one matmul
-    with the (G, Np) table e^{i lam b t_p} for all (a, batch) pairs.  Refuses
-    up front, by _refuse_over_guard, a count of the (G, Np, nf) product, the
-    (G, Np, M) float table of the shifted Hermite functions, the phase table
-    and the output.
+    gives the coherent table); no main-path route calls it.  F has shape
+    (M, nf), the coefficients of nf states u; window is the coefficient
+    vector of v (length M, one axis).  Returns (G, G, nf) with axes
+    (a-index, b-index, batch): oracle.riemann_sum at the grid axis.
     """
-    from .oracle import PositionGrid  # oracle imports this module
+    from .oracle import riemann_sum  # oracle imports this module
 
-    cfg, grid = ctx.cfg, ctx.grid
-    lam, G, M = cfg.lam, cfg.G, cfg.M
-    pos = PositionGrid.for_config(cfg)
-    t, s = pos.t, pos.s
-    F = np.asarray(F).reshape(M, -1)
     window = np.asarray(window, dtype=complex).ravel()
-    if window.size != M:
+    if window.size != ctx.cfg.M:
         raise ValueError("window must have one coefficient per axis mode")
-    Np, nf = t.size, F.shape[1]
-    _refuse_over_guard("ambiguity batch", G * G,
-                       G * Np * (nf + (M + 1) // 2 + 1) + G * G * nf)
-    U = hermite_columns(t, M, lam) @ F
-    ax = grid.axis
-    vshift = np.conj(hermite_columns(t[None, :] - ax[:, None], M, lam) @ window)
-    Z = np.matmul(np.exp(1j * lam * np.outer(ax, t)), vshift[:, :, None] * U)
-    Z *= s * np.exp(-1j * lam * np.outer(ax, ax) / 2.0)[:, :, None]
-    return Z  # (G_a, G_b, nf)
+    ax = ctx.grid.axis
+    return riemann_sum(ctx.cfg, ax, ax, F, window)
 
 
 def gaussian_vector(cfg: ModelConfig) -> HermiteState:

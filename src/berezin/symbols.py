@@ -96,6 +96,8 @@ def onb_expansion_check(ctx: RepresentationContext, A: OperatorMatrix,
     Exact in the truncation: both sides are the same finite sum in different
     association orders, so the residual is pure rounding.
     """
+    if A.dim != ctx.cfg.dim:
+        raise ValueError("operator dimension mismatch")
     cx = coherent_state(ctx, x).coeffs
     cy = coherent_state(ctx, y).coeffs
     direct = complex(np.vdot(cx, A.entries @ cy))
@@ -170,6 +172,8 @@ def hs_identity_residual(ctx: RepresentationContext, A: OperatorMatrix) -> float
     one W per quadrature variable, and W comes from the node table
     (frame_operator), so no grid sum is taken at all.
     """
+    if A.dim != ctx.cfg.dim:
+        raise ValueError("operator dimension mismatch")
     W = frame_operator(ctx)
     quad = np.trace(W @ A.entries @ W @ A.entries.conj().T)
     return float(abs(hs_inner(A, A) - quad))
@@ -187,6 +191,8 @@ def covariance_residual(ctx: RepresentationContext, A: OperatorMatrix,
     second symbol's in the subtraction) beside covariant_symbol's stages.
     """
     cfg, grid = ctx.cfg, ctx.grid
+    if A.dim != cfg.dim:
+        raise ValueError("operator dimension mismatch")
     h = grid.h
     steps = np.concatenate([np.asarray(g.a) / h, np.asarray(g.b) / h])
     rounded = np.round(steps)

@@ -16,9 +16,8 @@ import numpy as np
 from .core import (ModelConfig, PhaseGrid, HermiteState, OperatorMatrix,
                    basis_state, identity_operator, inner_l2, rank_one)
 from .heisenberg import HeisenbergElement, PhasePoint
-from .oracle import (PositionGrid, coherent_overlap_exact,
-                     gauss_hermite_matrix_element, oracle_double_sum_ft,
-                     oracle_matrix_element)
+from .oracle import (coherent_overlap_exact, gauss_hermite_matrix_element,
+                     oracle_double_sum_ft, oracle_matrix_element)
 from .schroedinger import RepresentationContext, coherent_state, gaussian_vector
 from .symbols import (build_symbol_map, covariance_residual, covariant_symbol,
                       hs_identity_residual, onb_expansion_check, reconstruct,
@@ -210,7 +209,6 @@ def run_verification(cfg: ModelConfig, seed: int = 0) -> VerificationReport:
     # closed form against two independent position-space oracles.
     r = 3.0 / np.sqrt(lam)
     axv = np.linspace(-r, r, 5)
-    pgrid = PositionGrid.for_config(ctx16.cfg)
     w_main, w_rie, w_gh = 0.0, 0.0, 0.0
     for a in axv:
         for b in axv:
@@ -218,7 +216,7 @@ def run_verification(cfg: ModelConfig, seed: int = 0) -> VerificationReport:
             phi_x = coherent_state(ctx16, PhasePoint(a, b))
             w_main = max(w_main, abs(abs(vac16.inner(phi_x)) - exact))
             g = HeisenbergElement([a], [b])
-            rie = oracle_matrix_element(ctx16.cfg, g, 0, 0, grid=pgrid)
+            rie = oracle_matrix_element(ctx16.cfg, g, 0, 0)
             w_rie = max(w_rie, abs(abs(rie) - exact))
             gh = gauss_hermite_matrix_element(ctx16.cfg, g, 0, 0)
             w_gh = max(w_gh, abs(abs(gh) - exact))

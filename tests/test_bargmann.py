@@ -4,9 +4,9 @@ The table is built from e^{-|w|^2/2} w^m / sqrt(m!), for the oracles and
 tests only.  The coefficient map, for any n, takes Laguerre recurrences on
 the same columns at the Gauss-Hermite node pairs and interpolates them to
 the grid; it never builds the table.  The position-space Riemann sum
-ambiguity_batch, batched as one matmul, checks both to rounding, and
-oracle.table_coefficient_map, the closed form at every grid point, checks the
-map to rounding.
+oracle.riemann_sum, on scipy's Hermite values and batched over the grid by
+ambiguity_batch, checks both to rounding, and oracle.table_coefficient_map,
+the closed form at every grid point, checks the map to rounding.
 """
 from __future__ import annotations
 
@@ -15,11 +15,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from berezin import (HermiteState, ModelConfig, PhasePoint,
-                     RepresentationContext, analysis, coefficient_map,
-                     coherent_state, default_L, gaussian_vector)
-from berezin import schroedinger
-from berezin.oracle import PositionGrid, table_coefficient_map
+from berezin import (HeisenbergElement, HermiteState, ModelConfig,
+                     PhasePoint, RepresentationContext, analysis,
+                     coefficient_map, coherent_state, default_L,
+                     gaussian_vector)
+from berezin import core, schroedinger
+from berezin.oracle import (PositionGrid, displacement_element,
+                            oracle_matrix_element, table_coefficient_map)
 from berezin.schroedinger import ambiguity_batch
 
 FLOOR = 2.0 ** -511
@@ -70,19 +72,20 @@ def test_coefficient_map_matches_quadrature(lam, M, G):
 
 @pytest.mark.parametrize("M,G", [(4, 32), (16, 128), (32, 128)])
 def test_quadrature_guard_bounds_its_peak(need_and_peak, M, G):
-    # the count adds the shifted-Hermite table, freed before the (G, Np, M)
-    # product exists, to the product, the phase table and the output
+    # the count adds the states' values, the window's shifted values and one
+    # (G, Np) margin for synthesizing them to the (G, Np, M) product, the
+    # phase table and the output
     ctx = _ctx(1.0, M, G)
     e0 = np.eye(M)[0]
     need, peak = need_and_peak(lambda: ambiguity_batch(ctx, np.eye(M), e0))
     assert peak <= 16 * need + 65536
-    assert peak <= 200 * 2 ** 20  # measured 178 MiB at (32, 128)
+    assert peak <= 150 * 2 ** 20  # measured 131 MiB at (32, 128)
 
 
 def test_quadrature_guard_names_its_count(monkeypatch):
     ctx = _ctx(1.0, 4, 32)
     Np = PositionGrid.for_config(ctx.cfg).t.size
-    need = 32 * Np * (4 + 2 + 1) + 32 * 32 * 4
+    need = Np * 4 + 32 * Np * (4 + 2) + 32 * Np + 32 * 32 * 4
     e0 = np.eye(4)[0]
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
     with pytest.raises(MemoryError, match="1024 grid points needs %d complex "
@@ -90,6 +93,35 @@ def test_quadrature_guard_names_its_count(monkeypatch):
         ambiguity_batch(ctx, np.eye(4), e0)
     monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
     assert ambiguity_batch(ctx, np.eye(4), e0).shape == (32, 32, 4)
+
+
+def test_riemann_oracles_read_no_in_package_recurrence(monkeypatch):
+    # their Hermite values come from scipy's eval_hermite, so they share no
+    # basis code with the main path's _interpolation_matrix
+    def refuse(*args):
+        raise AssertionError("a Riemann oracle read hermite_columns")
+
+    monkeypatch.setattr(core, "hermite_columns", refuse)
+    monkeypatch.setattr(schroedinger, "hermite_columns", refuse)
+    ctx = _ctx(1.0, 4, 32)
+    Z = ambiguity_batch(ctx, np.eye(4), np.eye(4)[0])
+    assert np.abs(ctx.coherent_table() - Z.reshape(32 * 32, 4)).max() < 1e-13
+    g = HeisenbergElement([0.5], [-0.3], 0.2)
+    assert oracle_matrix_element(ctx.cfg, g, 1, 2) == pytest.approx(
+        displacement_element(1.0, 0.5, -0.3, 0.2, 1, 2), abs=1e-13)
+
+
+@pytest.mark.parametrize("lam", [0.5, 4.0])
+def test_matrix_element_and_batch_are_one_sum(lam):
+    ctx = _ctx(lam, 6, 32)
+    ax, c, e = ctx.grid.axis, 0.7, np.eye(6)
+    for j, k in [(0, 0), (2, 1), (1, 4), (5, 5)]:
+        Z = ambiguity_batch(ctx, e[j], e[k])
+        for i, l in [(3, 20), (16, 16), (25, 9)]:
+            g = HeisenbergElement([ax[i]], [ax[l]], c)
+            got = oracle_matrix_element(ctx.cfg, g, j, k)
+            want = np.exp(1j * lam * c) * np.conj(Z[i, l, 0])
+            assert abs(got - want) <= 1e-15
 
 
 def test_vacuum_window_matches_table_product():

@@ -36,7 +36,7 @@ def test_vacuum_position_profile():
     lam = 2.5
     cfg = default_config(lam=lam, M=4)
     grid = PositionGrid.for_config(cfg)
-    vals = synthesize(gaussian_vector(cfg).coeffs, grid, lam)
+    vals = synthesize(gaussian_vector(cfg).coeffs, grid.t, lam)
     i0 = np.argmin(np.abs(grid.t))
     assert vals[i0] == pytest.approx((lam / np.pi) ** 0.25, abs=1e-14)
     assert np.abs(vals.imag).max() == 0.0
@@ -86,10 +86,9 @@ def test_overlap_phase_matches_oracle(ctx):
 def test_rep_matrix_against_both_oracles():
     cfg = default_config(lam=1.0, M=8)
     ctx8 = RepresentationContext(cfg)
-    pg = PositionGrid.for_config(cfg)
     g = HeisenbergElement([0.6], [-0.9], 0.2)
     R = rep_matrix(ctx8, g).entries
-    worst_r = max(abs(R[j, k] - oracle_matrix_element(cfg, g, j, k, grid=pg))
+    worst_r = max(abs(R[j, k] - oracle_matrix_element(cfg, g, j, k))
                   for j in range(8) for k in range(8))
     worst_g = max(abs(R[j, k] - gauss_hermite_matrix_element(cfg, g, j, k))
                   for j in range(8) for k in range(8))
@@ -239,7 +238,6 @@ def test_rep_matrix_repeatable(ctx):
 @pytest.mark.parametrize("M", [8, 16, 32])
 def test_displacement_1d_against_both_oracles(lam, M):
     cfg = default_config(lam=lam, M=M)
-    pg = PositionGrid.for_config(cfg)
     for (a, b) in [(0.6, -0.9), (2.1, 1.3)]:
         a, b = a / np.sqrt(lam), b / np.sqrt(lam)
         D = displacement_1d(lam, a, b, M)
@@ -247,7 +245,7 @@ def test_displacement_1d_against_both_oracles(lam, M):
         for j in range(M):
             for k in range(M):
                 assert abs(D[j, k] - oracle_matrix_element(
-                    cfg, g, j, k, grid=pg)) < 1e-12
+                    cfg, g, j, k)) < 1e-12
                 assert abs(D[j, k] - gauss_hermite_matrix_element(
                     cfg, g, j, k)) < 1e-12
 

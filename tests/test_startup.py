@@ -4,8 +4,8 @@ to run the position-space quadrature oracle.
 Start-up loads scipy.special and scipy.fft and scipy's private and meta
 modules, nothing else of scipy.  No module of the package imports
 scipy.signal, which pulls in scipy.stats, optimize, integrate, interpolate,
-ndimage, sparse and spatial: ambiguity_batch sums its Riemann quadrature
-with one matmul.
+ndimage, sparse and spatial: the Riemann quadrature oracle
+(oracle.riemann_sum, batched by ambiguity_batch) is one matmul.
 """
 from __future__ import annotations
 

@@ -38,6 +38,27 @@ def _random_operator(rng, dim, hermitian=False):
     return OperatorMatrix(entries=E, hermitian=hermitian)
 
 
+_X, _Y = PhasePoint([0.3], [-0.2]), PhasePoint([-0.5], [0.1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda c, A: full_symbol(c, A, _X, _Y),
+    lambda c, A: onb_expansion_check(c, A, _X, _Y),
+    lambda c, A: reconstruct(c, A, basis_state(4, 0), _X),
+    covariant_symbol,
+    trace_identity_residual,
+    hs_identity_residual,
+    lambda c, A: covariance_residual(c, A, HeisenbergElement([0.0], [0.0])),
+], ids=["full_symbol", "onb_expansion_check", "reconstruct",
+        "covariant_symbol", "trace_identity_residual", "hs_identity_residual",
+        "covariance_residual"])
+def test_operator_functions_name_a_wrong_dimension(call):
+    ctx4 = RepresentationContext(ModelConfig(M=4, G=32))
+    A = OperatorMatrix(np.eye(5, dtype=complex))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        call(ctx4, A)
+
+
 def test_kernel_diagonal_is_one(ctx):
     for (a, b) in [(0.0, 0.0), (0.5, -0.5), (1.0, 1.0)]:
         val = kernel(ctx, PhasePoint([a], [b]), PhasePoint([a], [b]))
