@@ -258,26 +258,28 @@ def _require_finite(values: np.ndarray) -> None:
         raise ValueError("non-finite values")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Complex samples on a lattice, one value per grid point, row-major over
     the 2n axes.  Here the lattice is the phase grid (axis grid.axis with
     step grid.h, weight density * cell_weight, coordinates a and b);
     transforms.OrbitGridFunction overrides all of them.
 
-    _nodes is (S, F) when schroedinger._node_sample made the samples by
-    expanding the node tensor S by the factor F on every axis (the
-    coefficient map, the covariant symbol and the node-route Wigner table);
-    values is then read-only (and no field can be rebound), so the two
-    cannot drift apart, and is shown finite from S and F instead of being
-    scanned (_require_finite).  It is not an __init__ argument: only that
-    route sets it.
+    _nodes is (S, F) when schroedinger._node_sample made the sample from the
+    node tensor S and the factor F of every axis (the coefficient map, the
+    covariant symbol and the node-route Wigner table).  Its values are then
+    S expanded by F (schroedinger._expand_nodes), computed on their first
+    read and kept, read-only (and no field can be rebound), so the two
+    cannot drift apart; they are shown finite from S and F instead of being
+    scanned (_require_finite), and inner_l2 pairs two such samples in node
+    form without reading them.  _nodes is not an __init__ argument: only
+    that route sets it.  Samples compare by identity, and repr leaves the
+    values out, so neither reads them.
     """
 
     grid: PhaseGrid
-    values: np.ndarray
-    _nodes: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
+    values: np.ndarray = field(repr=False)
+    _nodes: tuple | None = field(default=None, init=False, repr=False)
 
     coords = ("a", "b")  # names of the axis pair, as write_grid_csv heads them
 
@@ -287,6 +289,16 @@ class GridFunction:
             raise ValueError("value count does not match grid size")
         _require_finite(v)
         object.__setattr__(self, "values", v)
+
+    def __getattr__(self, name):
+        # only a node-route sample lacks values: expand them on first read
+        if name != "values" or self._nodes is None:
+            raise AttributeError(name)
+        from .schroedinger import _expand_nodes  # it imports this module
+        values = _expand_nodes(*self._nodes, self.grid.n).reshape(-1)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        return values
 
     @property
     def axis(self) -> np.ndarray:
@@ -304,17 +316,29 @@ class GridFunction:
         return self.values.reshape(self.grid.shape)
 
     def norm(self) -> float:
-        # vdot makes no grid-sized |v|^2 temporaries
-        return float(np.sqrt(self.weight * np.vdot(self.values,
-                                                   self.values).real))
+        return float(np.sqrt(inner_l2(self, self).real))
 
 
 def inner_l2(u: GridFunction, v: GridFunction) -> complex:
     """Discrete L2 pairing of samples on one lattice with its measure, linear
-    in u; samples of different types or grids sit on different lattices."""
+    in u; samples of different types or grids sit on different lattices.
+
+    Two node-route samples, u = Su expanded by Fu and v = Sv by Fv, with
+    no factor wider than the grid, pair in node form: Su expanded by the
+    (Nv, Nu) Gram matrix Fv^H Fu, one matmul per axis, meets Sv, and no
+    value is read.  Any other pair takes the vdot of the values (vdot makes
+    no grid-sized |v|^2 temporaries).
+    """
     if type(u) is not type(v) or u.grid != v.grid:
         raise ValueError("grid mismatch")
-    return complex(u.weight * np.vdot(v.values, u.values))
+    if u._nodes is None or v._nodes is None or max(
+            u._nodes[1].shape[1], v._nodes[1].shape[1]) > u.grid.G:
+        return complex(u.weight * np.vdot(v.values, u.values))
+    from .schroedinger import _expand_nodes  # it imports this module
+    (Su, Fu), (Sv, Fv), n = u._nodes, v._nodes, u.grid.n
+    X = _expand_nodes(Su, Fv.conj().T @ Fu, n)  # axes in grid order
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return complex(u.weight * np.vdot(Sv.transpose(order), X))
 
 
 def hs_inner(A: OperatorMatrix, B: OperatorMatrix) -> complex:

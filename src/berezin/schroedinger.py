@@ -18,7 +18,8 @@ The coefficient map and the covariant symbol take their values at the
 Gauss-Hermite node pairs from _node_table and carry them to the grid with one
 interpolation matrix per axis (_interpolation_matrix, _expand_nodes); one
 working-set count refuses both (_guard_node_route), and one constructor
-makes their samples, shown finite from the node tensor (_node_sample).
+makes their samples, shown finite from the node tensor (_node_sample),
+whose values are expanded on their first read.
 
 Matrix orientation: rep_matrix(g)[j, k] = (pi(g) e_k | e_j), the coefficient
 of e_j in pi(g) e_k, so column k literally equals apply_group(g, e_k) and
@@ -164,8 +165,8 @@ def _node_sample(cls: type, grid: PhaseGrid, S: np.ndarray,
                  F: np.ndarray) -> GridFunction:
     """The cls sample (GridFunction, or the orbit's subclass) whose values
     are the node tensor S expanded by the factor F on every axis
-    (_expand_nodes), keeping (S, F) as its _nodes; S and the values are
-    read-only.
+    (_expand_nodes), keeping (S, F) as its _nodes; S is read-only, and the
+    values are expanded on their first read (GridFunction), read-only too.
 
     Each value is a sum of products of one node value with one entry of F
     per axis, so its modulus, and that of every partial sum, is at most
@@ -173,16 +174,15 @@ def _node_sample(cls: type, grid: PhaseGrid, S: np.ndarray,
     that bound lies below half the largest float, ValueError("non-finite
     values"), as GridFunction raises; the comparison fails on nan and inf,
     so non-finite S or F are refused too.  Under the bound every value is
-    finite, so the G^{2n} values are not scanned again.
+    finite, so the G^{2n} values are never scanned.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused
         bound = np.abs(S).max() * np.linalg.norm(F, np.inf) ** (2 * grid.n)
     if not bound < _FLOAT_MAX / 2:
         raise ValueError("non-finite values")
-    values = _expand_nodes(S, F, grid.n).reshape(-1)
-    values.flags.writeable = S.flags.writeable = False
-    sample = object.__new__(cls)  # the frozen dataclass, without the scan
-    for name, value in (("grid", grid), ("values", values), ("_nodes", (S, F))):
+    S.flags.writeable = False
+    sample = object.__new__(cls)  # the frozen dataclass, without values
+    for name, value in (("grid", grid), ("_nodes", (S, F))):
         object.__setattr__(sample, name, value)
     return sample
 
@@ -193,11 +193,11 @@ def _guard_node_route(name: str, grid: PhaseGrid, M: int, own: int,
     grid whose working set exceeds the size guard: the cached node table (c
     and conj(c).T) and B, beside the larger of the caller's node stage
     (`own` complex entries) and the largest expansion step of _expand_nodes
-    with `beside` entries the
-    caller holds through the expansion.  Every step holds the caller's node
-    tensor (an unnamed argument too: CPython 3.10 frees it only on return)
-    and its own input and output; the first step's input is the tensor's
-    copy in grid order, freed once that step is done."""
+    with `beside` entries the caller holds through the expansion.  The
+    expansion runs on the sample's first read of its values, not in the
+    route, but is counted as if the route ran it.  Every step holds the
+    node tensor and its own input and output; the first step's input is
+    the tensor's copy in grid order, freed once that step is done."""
     G, n = grid.G, grid.n
     N = 2 * M - 1
     nodes = N ** (2 * n)

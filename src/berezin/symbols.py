@@ -138,7 +138,7 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
     step: the tensordot output (M (2M-1)^{2n} entries), multiplied by
     conj(c) in place, and its sum; node values that overflow are refused by
     schroedinger._node_sample.  The result keeps its node tensor and B,
-    and its values are read-only.
+    and its values, expanded on their first read, are read-only.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if A.dim != cfg.dim:

@@ -23,12 +23,15 @@ unitarity (alias ghosts) because h^2 G / 2 pi is not an integer in general.
 Two routes serve the inverse transform.  A sample made by the node route
 (coefficient_map, or symbols.covariant_symbol) keeps its node tensor S and
 interpolation matrix B (values = S expanded by B on every axis, read-only);
-the DFT of that is S expanded by the DFT'd factor, one complex matmul per
-axis (inverse_fourier_orbit).  Every other sample, and the forward
-transform, takes _orbit_dft's n-D FFT, which is also the node route's
-oracle in the tests.  Node-route samples, the Wigner table among them, are
-shown finite by a bound on S and the factor (schroedinger._node_sample);
-every other sample's values are scanned (core._require_finite).
+the DFT of that is S expanded by the DFT'd factor, so the inverse is that
+factor and the same S (inverse_fourier_orbit).  Every other sample, and the
+forward transform, takes _orbit_dft's n-D FFT, which is also the node
+route's oracle in the tests.  Node-route samples, the Wigner table among
+them, are shown finite by a bound on S and the factor
+(schroedinger._node_sample) and expand their values, one matmul per axis,
+only on their first read; inner_l2, and so the norms and moyal_residual,
+pair them in node form without reading them.  Every other sample's values
+are scanned (core._require_finite).
 """
 from __future__ import annotations
 
@@ -146,9 +149,11 @@ def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
     node tensor S and interpolation matrix B, values = S expanded by B on
     every axis; the orbit DFT of that is S expanded by FB, the checkerboard
     inverse DFT of B's columns times weight^(1/2n) (the (-1)^{G/2} factors
-    cancel over the 2n axes, as in _orbit_dft).  That route refuses up
-    front the expansion beside its input sample and FB (_guard_node_route).
-    Every other sample takes the n-D FFT of _orbit_dft.
+    cancel over the 2n axes, as in _orbit_dft).  That route builds FB
+    only: the Wigner values expand on their first read.  It still refuses
+    up front that expansion beside its input sample's table and FB
+    (_guard_node_route), so it refuses what wigner refuses.  Every other
+    sample takes the n-D FFT of _orbit_dft.
     """
     if type(F) is not GridFunction:
         raise ValueError("inverse_fourier_orbit takes samples on the phase grid")
@@ -183,7 +188,8 @@ def coefficient_map(ctx: RepresentationContext, f: HermiteState,
     Linear in f and conjugate-linear in phi.  The size guard counts the
     expansion and the node stage (_map_node_stage); node values that
     overflow are refused by _node_sample.  The result keeps its node tensor
-    and B for inverse_fourier_orbit, and its values are read-only.
+    and B for inverse_fourier_orbit and inner_l2, and its values, expanded
+    on their first read, are read-only.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if f.dim != cfg.dim or phi.dim != cfg.dim:
@@ -250,9 +256,10 @@ def moyal_residual(ctx: RepresentationContext,
                    f2: HermiteState, phi2: HermiteState) -> tuple[float, float]:
     """Deviation of both transform pairings from (f1|f2) * conj((phi1|phi2)).
 
-    Returns (ambiguity-side residual, Wigner-side residual).  The guard
-    counts the second map, or the second inverse with both FB, beside one
-    more table and node tensor; each ambiguity table dies with its inverse.
+    Returns (ambiguity-side residual, Wigner-side residual).  Both pairings
+    run in node form (inner_l2), so wherever 2M - 1 <= G no table is built.
+    The guard still counts the tables: the second map, or the second
+    inverse with both FB, beside one more table and node tensor.
     """
     cfg, grid = ctx.cfg, ctx.grid
     N = 2 * cfg.M - 1

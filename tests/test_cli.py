@@ -469,12 +469,17 @@ def test_wigner_guard_bounds_its_peak(guard_ctx, need_and_peak, tmp_path,
     # objects) and, wherever G >= 2M - 1, exceeds it by at most 10 %
     # (measured 0.98-1.08 on CPython 3.11); the CSV writer, which holds one
     # block of at most _BLOCK_ROWS rows and no grid-sized array, is replaced
-    # by a stub that writes nothing
+    # by a stub that writes nothing but reads the values
     cfg = guard_ctx.cfg
     state_path = tmp_path / "state.csv"
     v = np.random.default_rng(14).standard_normal((2, cfg.dim))
     write_state_csv(state_path, (v[0] + 1j * v[1]) / np.linalg.norm(v))
-    monkeypatch.setattr(cli, "write_grid_csv", lambda path, *_: [path])
+
+    def write_grid_csv(path, fn, *_):
+        fn.values  # as the writer does; the first read expands them
+        return [path]
+
+    monkeypatch.setattr(cli, "write_grid_csv", write_grid_csv)
     args = argparse.Namespace(command="wigner", state=str(state_path),
                               out=str(tmp_path), json=False)
     need, peak = need_and_peak(lambda: cli.cmd_wigner(cfg, args))

@@ -15,7 +15,7 @@ from berezin import (GridFunction, HermiteState, ModelConfig, OperatorMatrix,
                      identity_operator, inner_l2, inverse_fourier_orbit,
                      moyal_residual, orbit_inner, wigner)
 from berezin.oracle import oracle_double_sum_ft
-from berezin.schroedinger import ambiguity_batch
+from berezin.schroedinger import _expand_nodes, ambiguity_batch
 from berezin.transforms import OrbitGridFunction, _guard_wigner, _orbit_dft
 
 
@@ -635,3 +635,115 @@ def test_moyal_residual_refuses_its_count_over_the_guard():
                        "points needs 16935804 complex entries"):
         moyal_residual(cx, basis_state(25, 1), vac, basis_state(25, 2), vac)
     _guard_wigner(cx)
+
+
+# (n, lam, M, G) of the node-form pairing tests
+_PAIRING_CASES = [(1, 0.5, 8, 128), (1, 4.0, 16, 128), (1, 4.0, 32, 256),
+                  (2, 1.0, 3, 24), (2, 1.0, 5, 40)]
+
+
+def _node_route_samples(cx, seed):
+    rng = np.random.default_rng(seed)
+    f1, p1, f2, p2 = (_random_state(rng, cx.cfg.dim) for _ in range(4))
+    A1, A2 = coefficient_map(cx, f1, p1), coefficient_map(cx, f2, p2)
+    ops = rng.standard_normal((2, 2, cx.cfg.dim, cx.cfg.dim))
+    S1, S2 = (covariant_symbol(cx, OperatorMatrix((E[0] + 1j * E[1])
+                                                  / np.linalg.norm(E)))
+              for E in ops)
+    return A1, A2, S1, S2
+
+
+@pytest.mark.parametrize("n, lam, M, G", _PAIRING_CASES)
+def test_node_form_pairing_matches_the_grid_sum(n, lam, M, G):
+    # every pair of node-route samples pairs without reading its values,
+    # within 256 eps ||u|| ||v|| of the grid sum (measured <= 5 eps)
+    cx = RepresentationContext(default_config(n=n, lam=lam, M=M, G=G))
+    A1, A2, S1, S2 = _node_route_samples(cx, 70 + M)
+    W1, W2 = inverse_fourier_orbit(A1), inverse_fourier_orbit(A2)
+    pairs = {"map x map": (A1, A2), "symbol x map": (S1, A2),
+             "symbol x symbol": (S1, S2), "Wigner x Wigner": (W1, W2)}
+    got = {name: inner_l2(u, v) for name, (u, v) in pairs.items()}
+    assert not any("values" in vars(s) for s in (A1, A2, S1, S2, W1, W2))
+    eps = np.finfo(float).eps
+    for name, (u, v) in pairs.items():
+        ref = u.weight * np.vdot(v.values, u.values)
+        scale = np.sqrt(u.weight * np.vdot(u.values, u.values).real
+                        * v.weight * np.vdot(v.values, v.values).real)
+        assert abs(got[name] - ref) <= 256 * eps * scale, name
+    # a sample without a node tensor takes the grid sum
+    plain = GridFunction(grid=A2.grid, values=A2.values)
+    assert inner_l2(A1, plain) == A1.weight * np.vdot(plain.values, A1.values)
+
+
+@pytest.mark.parametrize("n, lam, M, G", _PAIRING_CASES[2:])
+def test_node_form_norms_match_a_long_double_grid_sum(n, lam, M, G):
+    # against the grid sum over values expanded and summed in long double,
+    # the node-form norm is within 1.3 eps (measured), where the norm from
+    # the double grid sum is up to 192 eps off at n = 2, (5, 40)
+    cx = RepresentationContext(default_config(n=n, lam=lam, M=M, G=G))
+    A1, _, S1, _ = _node_route_samples(cx, 70 + M)
+    for sample in (A1, inverse_fourier_orbit(A1), S1):
+        S, F = sample._nodes
+        X = S.astype(np.clongdouble)
+        for axis in range(2 * n):  # node axes (a_1 b_1 ..), any one order
+            X = np.moveaxis(np.tensordot(F.astype(np.clongdouble), X,
+                                         axes=([1], [axis])), 0, axis)
+        ref = np.sqrt(sample.weight * np.sum(X.real ** 2 + X.imag ** 2))
+        assert abs(sample.norm() - ref) <= 8 * np.finfo(float).eps * ref
+
+
+def test_pairing_with_a_factor_wider_than_the_grid_reads_the_values():
+    # G = 8 < 2M - 1 = 47: the (N, N) Gram matrix would exceed the grid
+    cx = RepresentationContext(ModelConfig(
+        n=1, lam=1.0, M=24, L=default_L(1.0, 24), G=8, tol_identity=1e-6,
+        tol_quadrature=0.9))
+    A1, A2, S1, _ = _node_route_samples(cx, 75)
+    for u, v in ((A1, A2), (S1, A2)):
+        got = inner_l2(u, v)
+        assert "values" in vars(u) and "values" in vars(v)
+        assert got == u.weight * np.vdot(v.values, u.values)
+
+
+@pytest.mark.parametrize("n, M, G", [(1, 16, 128), (2, 5, 40)])
+def test_node_route_values_expand_once_on_first_read(n, M, G):
+    cx = RepresentationContext(default_config(n=n, lam=1.0, M=M, G=G))
+    A1, _, S1, _ = _node_route_samples(cx, 80 + M)
+    for sample in (A1, inverse_fourier_orbit(A1), S1):
+        assert "values" not in vars(sample)
+        S, F = sample._nodes
+        values = sample.values
+        assert np.array_equal(values, _expand_nodes(S, F, n).reshape(-1))
+        assert not values.flags.writeable
+        assert sample.values is values
+        assert np.shares_memory(sample.reshape(), values)
+
+
+def test_grid_function_compares_by_identity_without_reading_values(ctx):
+    vac = gaussian_vector(ctx.cfg)
+    amb = coefficient_map(ctx, basis_state(8, 1), vac)
+    other = coefficient_map(ctx, basis_state(8, 1), vac)
+    plain = GridFunction(grid=ctx.grid, values=np.ones(ctx.grid.num_points))
+    copy = GridFunction(grid=ctx.grid, values=plain.values)
+    assert amb == amb and amb != other and plain != copy
+    assert len({amb, other, plain, copy}) == 4  # hashed by identity
+    assert repr(amb) == "GridFunction(grid=%r)" % ctx.grid
+    assert "values" not in vars(amb) and "values" not in vars(other)
+
+
+def test_n2_transforms_and_their_norms_hold_no_grid_table():
+    # one (5, 40) table at n = 2 is 40^4 complex values, 41 MB; the map,
+    # its Wigner transform and both norms stay in node form
+    x2 = RepresentationContext(default_config(n=2, lam=1.0, M=5, G=40))
+    rng = np.random.default_rng(85)
+    f = _random_state(rng, x2.cfg.dim)
+    table = 16 * x2.grid.num_points
+    tracemalloc.start()
+    try:
+        amb = coefficient_map(x2, f, gaussian_vector(x2.cfg))
+        wig = inverse_fourier_orbit(amb)
+        norms = amb.norm(), wig.norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table
+    assert max(abs(v ** 2 - 1.0) for v in norms) < 1e-13
