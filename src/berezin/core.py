@@ -11,6 +11,7 @@ are dense (M**n x M**n) matrices in that basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -25,6 +26,8 @@ class TruncationError(ValueError):
 
 # ceilings above any size the guards admit; M ** n, G ** (2n) stay cheap
 MAX_N, MAX_M, MAX_G = 12, 4096, 65536
+# the largest float: GridFunction._from_nodes refuses half of it
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,8 @@ class ModelConfig:
             _validate_lattice(self.lam, 1.0, self.G)
             object.__setattr__(self, "L", default_L(self.lam, self.M))
         _validate_lattice(self.lam, self.L, self.G)
+        for key in ("n", "M", "G"):  # integral as validated: store them int
+            object.__setattr__(self, key, int(getattr(self, key)))
         for key in ("tol_identity", "tol_quadrature"):
             if not 0 < getattr(self, key) < np.inf:
                 raise ConfigError("%s must be a positive finite real" % key)
@@ -129,6 +134,7 @@ class PhaseGrid:
 
     def __post_init__(self):
         _validate_lattice(self.lam, self.L, self.G)
+        object.__setattr__(self, "G", int(self.G))
 
     @property
     def h(self) -> float:
@@ -252,10 +258,35 @@ def _require_finite(values: np.ndarray) -> None:
     """ValueError unless every real and imaginary part of the (non-empty)
     complex array is finite: min and max of its float view propagate nan and
     reach +-inf, so no grid-sized mask is made and nothing can overflow.
-    Node-route samples skip these two passes (schroedinger._node_sample)."""
+    Node-route samples skip these two passes (GridFunction._from_nodes)."""
     x = values.view(float)
     if not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise ValueError("non-finite values")
+
+
+def _expand_nodes(S: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    """Node values S, axes (a_1 b_1 a_2 b_2 ..), carried to the grid by the
+    (G, N) factor B on every axis, returned contiguous in grid order
+    (a_1..a_n, b_1..b_n).
+
+    Each axis is one matmul, (outer, N, inner) -> (outer, G, inner): the axis
+    is contracted in place, with no transposed copy.  A real B (the
+    interpolation matrix) meets the float view of the tensor, inner counting
+    two floats per entry, so B is never cast to complex; a complex B (the
+    Wigner side's DFT'd factor) meets the tensor itself.  The last axis goes
+    first, while the tensor is smallest.  The grid-order copy of S is bound
+    only through X, so it is freed with the first step's input.
+    """
+    G, N = B.shape
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    shape = [S.shape[i] for i in order]
+    X = np.ascontiguousarray(S.transpose(order), dtype=complex).view(B.dtype)
+    width = X.size // S.size  # entries per value: 2 floats for a real B
+    for axis in reversed(range(2 * n)):
+        X = np.matmul(B, X.reshape(prod(shape[:axis]), N,
+                                   width * prod(shape[axis + 1:])))
+        shape[axis] = G
+    return X.view(complex).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,15 +296,15 @@ class GridFunction:
     step grid.h, weight density * cell_weight, coordinates a and b);
     transforms.OrbitGridFunction overrides all of them.
 
-    _nodes is (S, F) when schroedinger._node_sample made the sample from the
-    node tensor S and the factor F of every axis (the coefficient map, the
-    covariant symbol and the node-route Wigner table).  Its values are then
-    S expanded by F (schroedinger._expand_nodes), computed on their first
-    read and kept, read-only (and no field can be rebound), so the two
-    cannot drift apart; they are shown finite from S and F instead of being
-    scanned (_require_finite), and inner_l2 pairs two such samples in node
-    form without reading them.  _nodes is not an __init__ argument: only
-    that route sets it.  Samples compare by identity, and repr leaves the
+    _nodes is (S, F) when _from_nodes made the sample from the node tensor
+    S and the factor F of every axis (the coefficient map, the covariant
+    symbol and the node-route Wigner table).  Its values are then S
+    expanded by F (_expand_nodes), computed on their first read and kept,
+    read-only (and no field can be rebound), so the two cannot drift apart;
+    they are shown finite from S and F instead of being scanned
+    (_require_finite), and inner_l2 pairs two such samples in node form
+    without reading them.  _nodes is not an __init__ argument: only
+    _from_nodes sets it.  Samples compare by identity, and repr leaves the
     values out, so neither reads them.
     """
 
@@ -290,11 +321,31 @@ class GridFunction:
         _require_finite(v)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _from_nodes(cls, grid: PhaseGrid, S: np.ndarray,
+                    F: np.ndarray) -> "GridFunction":
+        """The sample of this class with _nodes (S, F), S made read-only.
+
+        Each value, and each of its partial sums, is at most max|S|
+        ||F||^{2n} in modulus, ||F|| the largest absolute row sum of F.
+        Unless that bound lies below half the largest float (nan and inf
+        fail the test), ValueError("non-finite values"), as __post_init__
+        raises; so the G^{2n} values are never scanned.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused
+            bound = np.abs(S).max() * np.linalg.norm(F, np.inf) ** (2 * grid.n)
+        if not bound < _FLOAT_MAX / 2:
+            raise ValueError("non-finite values")
+        S.flags.writeable = False
+        sample = object.__new__(cls)  # the frozen dataclass, without values
+        for name, value in (("grid", grid), ("_nodes", (S, F))):
+            object.__setattr__(sample, name, value)
+        return sample
+
     def __getattr__(self, name):
         # only a node-route sample lacks values: expand them on first read
         if name != "values" or self._nodes is None:
             raise AttributeError(name)
-        from .schroedinger import _expand_nodes  # it imports this module
         values = _expand_nodes(*self._nodes, self.grid.n).reshape(-1)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -334,7 +385,6 @@ def inner_l2(u: GridFunction, v: GridFunction) -> complex:
     if u._nodes is None or v._nodes is None or max(
             u._nodes[1].shape[1], v._nodes[1].shape[1]) > u.grid.G:
         return complex(u.weight * np.vdot(v.values, u.values))
-    from .schroedinger import _expand_nodes  # it imports this module
     (Su, Fu), (Sv, Fv), n = u._nodes, v._nodes, u.grid.n
     X = _expand_nodes(Su, Fv.conj().T @ Fu, n)  # axes in grid order
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))

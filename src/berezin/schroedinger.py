@@ -16,10 +16,10 @@ of them.
 
 The coefficient map and the covariant symbol take their values at the
 Gauss-Hermite node pairs from _node_table and carry them to the grid with one
-interpolation matrix per axis (_interpolation_matrix, _expand_nodes); one
-working-set count refuses both (_guard_node_route), and one constructor
-makes their samples, shown finite from the node tensor (_node_sample),
-whose values are expanded on their first read.
+interpolation matrix per axis (_interpolation_matrix); one working-set
+count refuses both (_guard_node_route).  Their samples are node-form
+GridFunctions (core.GridFunction._from_nodes), whose values are expanded by
+core._expand_nodes on their first read.
 
 Matrix orientation: rep_matrix(g)[j, k] = (pi(g) e_k | e_j), the coefficient
 of e_j in pi(g) e_k, so column k literally equals apply_group(g, e_k) and
@@ -30,21 +30,17 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from math import prod
 
 import numpy as np
 from scipy.special import roots_hermite
 
-from .core import (GridFunction, ModelConfig, HermiteState, OperatorMatrix,
-                   PhaseGrid, TruncationError, build_grid, basis_state,
-                   hermite_columns)
+from .core import (ModelConfig, HermiteState, OperatorMatrix, PhaseGrid,
+                   TruncationError, build_grid, basis_state, hermite_columns)
 from .heisenberg import HeisenbergElement, PhasePoint
 
 # max complex entries of a grid-sized working set (_refuse_over_guard): each
 # count is the arrays its route holds at its peak, cached tables included
 _TABLE_LIMIT = 2 ** 24
-# the largest float: _node_sample refuses values that could reach half of it
-_FLOAT_MAX = float(np.finfo(float).max)
 # table entries below this modulus are stored as exact zeros, so every product
 # of two entries is zero or a normal float (subnormal arithmetic is slow)
 _TABLE_FLOOR = 2.0 ** -511
@@ -136,64 +132,13 @@ def _interpolation_matrix(lam: float, L: float, G: int, M: int) -> np.ndarray:
     return B
 
 
-def _expand_nodes(S: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
-    """Node values S, axes (a_1 b_1 a_2 b_2 ..), carried to the grid by the
-    (G, N) factor B on every axis, returned contiguous in grid order
-    (a_1..a_n, b_1..b_n).
-
-    Each axis is one matmul, (outer, N, inner) -> (outer, G, inner): the axis
-    is contracted in place, with no transposed copy.  A real B (the
-    interpolation matrix) meets the float view of the tensor, inner counting
-    two floats per entry, so B is never cast to complex; a complex B (the
-    Wigner side's DFT'd factor) meets the tensor itself.  The last axis goes
-    first, while the tensor is smallest.  The grid-order copy of S is bound
-    only through X, so it is freed with the first step's input.
-    """
-    G, N = B.shape
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    shape = [S.shape[i] for i in order]
-    X = np.ascontiguousarray(S.transpose(order), dtype=complex).view(B.dtype)
-    width = X.size // S.size  # entries per value: 2 floats for a real B
-    for axis in reversed(range(2 * n)):
-        X = np.matmul(B, X.reshape(prod(shape[:axis]), N,
-                                   width * prod(shape[axis + 1:])))
-        shape[axis] = G
-    return X.view(complex).reshape(shape)
-
-
-def _node_sample(cls: type, grid: PhaseGrid, S: np.ndarray,
-                 F: np.ndarray) -> GridFunction:
-    """The cls sample (GridFunction, or the orbit's subclass) whose values
-    are the node tensor S expanded by the factor F on every axis
-    (_expand_nodes), keeping (S, F) as its _nodes; S is read-only, and the
-    values are expanded on their first read (GridFunction), read-only too.
-
-    Each value is a sum of products of one node value with one entry of F
-    per axis, so its modulus, and that of every partial sum, is at most
-    max|S| ||F||^{2n}, ||F|| the largest absolute row sum of F.  Unless
-    that bound lies below half the largest float, ValueError("non-finite
-    values"), as GridFunction raises; the comparison fails on nan and inf,
-    so non-finite S or F are refused too.  Under the bound every value is
-    finite, so the G^{2n} values are never scanned.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused
-        bound = np.abs(S).max() * np.linalg.norm(F, np.inf) ** (2 * grid.n)
-    if not bound < _FLOAT_MAX / 2:
-        raise ValueError("non-finite values")
-    S.flags.writeable = False
-    sample = object.__new__(cls)  # the frozen dataclass, without values
-    for name, value in (("grid", grid), ("_nodes", (S, F))):
-        object.__setattr__(sample, name, value)
-    return sample
-
-
 def _guard_node_route(name: str, grid: PhaseGrid, M: int, own: int,
                       beside: int = 0) -> None:
     """Refuse, before anything is computed, a node route at truncation M on
     grid whose working set exceeds the size guard: the cached node table (c
     and conj(c).T) and B, beside the larger of the caller's node stage
-    (`own` complex entries) and the largest expansion step of _expand_nodes
-    with `beside` entries the caller holds through the expansion.  The
+    (`own` complex entries) and the largest expansion step of
+    core._expand_nodes with `beside` entries the caller holds through the expansion.  The
     expansion runs on the sample's first read of its values, not in the
     route, but is counted as if the route ran it.  Every step holds the
     node tensor and its own input and output; the first step's input is

@@ -18,7 +18,7 @@ n > 1 phi_x is a Kronecker product over axes, so S(A) is the same Tucker
 product: one contraction of A against the (N^2, M) node table per position
 axis, one B per phase-space axis.  B is real, so each phase-space axis is one
 real matrix product with the float view of the complex values, contracting
-that axis in place (schroedinger._expand_nodes).  The interpolation rounds
+that axis in place (core._expand_nodes).  The interpolation rounds
 at the scale of the node values, so the error is absolute, about
 eps * max|S| (measured <= 6e-15 max|S|): values in the Gaussian tail below
 that are rounding noise, not the relatively accurate tiny values of the
@@ -40,11 +40,11 @@ from functools import reduce
 import numpy as np
 
 from .core import (GridFunction, HermiteState, OperatorMatrix,
-                   TruncationError, hs_inner)
+                   TruncationError, hs_inner, inner_l2)
 from .heisenberg import HeisenbergElement, PhasePoint, project_to_phase
 from .schroedinger import (RepresentationContext, _guard_node_route,
-                           _interpolation_matrix, _node_sample, _node_table,
-                           coherent_state, gaussian_vector, rep_matrix)
+                           _interpolation_matrix, _node_table, coherent_state,
+                           gaussian_vector, rep_matrix)
 from .transforms import coefficient_map
 
 _SVD_LIMIT = 2 ** 26  # max complex entries of the symbol-map SVD's working set
@@ -137,7 +137,7 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
     eps * max|S|.  The size guard counts the expansion and the last node
     step: the tensordot output (M (2M-1)^{2n} entries), multiplied by
     conj(c) in place, and its sum; node values that overflow are refused by
-    schroedinger._node_sample.  The result keeps its node tensor and B,
+    GridFunction._from_nodes.  The result keeps its node tensor and B,
     and its values, expanded on their first read, are read-only.
     """
     cfg, grid = ctx.cfg, ctx.grid
@@ -156,13 +156,17 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
             S = S.sum(axis=-2)
     S = S.reshape((N,) * (2 * n))  # node axes (a_1 b_1 a_2 b_2 ...)
     B = _interpolation_matrix(grid.lam, grid.L, grid.G, M)
-    return _node_sample(GridFunction, grid, S, B)
+    return GridFunction._from_nodes(grid, S, B)
 
 
 def trace_identity_residual(ctx: RepresentationContext, A: OperatorMatrix) -> float:
-    """|trace(A) - int covariant_symbol(A) dmu|."""
+    """|trace(A) - int covariant_symbol(A) dmu|, the integral as inner_l2
+    with the constant 1 (one node, ones on every axis), so wherever
+    2M - 1 <= G no value is read."""
     S = covariant_symbol(ctx, A)
-    return float(abs(np.trace(A.entries) - S.weight * np.sum(S.values)))
+    one = GridFunction._from_nodes(ctx.grid, np.ones((1,) * (2 * ctx.cfg.n)),
+                                   np.ones((ctx.cfg.G, 1)))
+    return float(abs(np.trace(A.entries) - inner_l2(S, one)))
 
 
 def hs_identity_residual(ctx: RepresentationContext, A: OperatorMatrix) -> float:

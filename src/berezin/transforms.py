@@ -28,7 +28,7 @@ factor and the same S (inverse_fourier_orbit).  Every other sample, and the
 forward transform, takes _orbit_dft's n-D FFT, which is also the node
 route's oracle in the tests.  Node-route samples, the Wigner table among
 them, are shown finite by a bound on S and the factor
-(schroedinger._node_sample) and expand their values, one matmul per axis,
+(GridFunction._from_nodes) and expand their values, one matmul per axis,
 only on their first read; inner_l2, and so the norms and moyal_residual,
 pair them in node form without reading them.  Every other sample's values
 are scanned (core._require_finite).
@@ -44,7 +44,7 @@ from scipy.special import roots_hermite
 from .core import GridFunction, HermiteState, inner_l2
 from .schroedinger import (RepresentationContext, _guard_node_route,
                            _interpolation_matrix, _laguerre_factors,
-                           _node_sample, _node_table)
+                           _node_table)
 
 
 class OrbitGridFunction(GridFunction):
@@ -167,7 +167,7 @@ def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
     signs = _checkerboard(1, G)[:, None]
     FB = scipy.fft.ifft(B * signs, axis=0, norm="forward")
     FB *= F.weight ** (0.5 / F.grid.n) * signs
-    return _node_sample(OrbitGridFunction, F.grid, S, FB)
+    return OrbitGridFunction._from_nodes(F.grid, S, FB)
 
 
 def _map_node_stage(cfg) -> int:
@@ -187,9 +187,9 @@ def coefficient_map(ctx: RepresentationContext, f: HermiteState,
 
     Linear in f and conjugate-linear in phi.  The size guard counts the
     expansion and the node stage (_map_node_stage); node values that
-    overflow are refused by _node_sample.  The result keeps its node tensor
-    and B for inverse_fourier_orbit and inner_l2, and its values, expanded
-    on their first read, are read-only.
+    overflow are refused by GridFunction._from_nodes.  The result keeps its
+    node tensor and B for inverse_fourier_orbit and inner_l2, and its
+    values, expanded on their first read, are read-only.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if f.dim != cfg.dim or phi.dim != cfg.dim:
@@ -199,7 +199,7 @@ def coefficient_map(ctx: RepresentationContext, f: HermiteState,
     B = _interpolation_matrix(grid.lam / 2.0, grid.L, cfg.G, M)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused
         S = _map_nodes(f.coeffs, phi.coeffs, M, n)
-    return _node_sample(GridFunction, grid, S, B)
+    return GridFunction._from_nodes(grid, S, B)
 
 
 def _map_nodes(f: np.ndarray, phi: np.ndarray, M: int, n: int) -> np.ndarray:

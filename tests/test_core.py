@@ -1,13 +1,16 @@
 """Configuration, grid geometry, states, operators, and pairings."""
 from __future__ import annotations
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from berezin import (ConfigError, GridFunction, HermiteState, ModelConfig,
-                     OperatorMatrix, PhaseGrid, basis_state, build_grid,
+                     OperatorMatrix, PhaseGrid, RepresentationContext,
+                     basis_state, build_grid, core, covariant_symbol,
                      default_L, default_config, hermite_columns, hs_inner,
                      identity_operator, inner_l2, rank_one)
 
@@ -40,6 +43,38 @@ def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError):  # odd G breaks the centered lattice
         ModelConfig(n=1, lam=1.0, M=4, L=10.0, G=33,
                     tol_identity=1e-6, tol_quadrature=1e-5)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("G", 128.0), ("M", 16.0), ("n", 1.0), ("M", np.int64(8)),
+    ("G", np.int64(64))])
+def test_config_stores_integral_fields_as_int(key, value):
+    # G = 128.0, M = 16.0 and n = 1.0 validated, then raised TypeError in
+    # reshape, np.eye and tuple repetition
+    cfg = ModelConfig(**{key: value})
+    assert type(getattr(cfg, key)) is int and getattr(cfg, key) == value
+    S = covariant_symbol(RepresentationContext(cfg), identity_operator(cfg.dim))
+    assert S.reshape().shape == (cfg.G,) * (2 * cfg.n)
+
+
+@pytest.mark.parametrize("G", [64.0, np.int64(64)])
+def test_phase_grid_stores_G_as_int(G):
+    grid = PhaseGrid(n=1, lam=1.0, L=10.0, G=G)
+    assert type(grid.G) is int and grid.shape == (64, 64)
+
+
+def test_core_imports_no_package_module():
+    # core owns the node-form samples whole: every other module imports it,
+    # and it imports none of them, at top level or inside a function
+    tree = ast.parse(Path(core.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and all(node in tree.body for node in imports)
+    for node in imports:
+        names = ([node.module] if isinstance(node, ast.ImportFrom)
+                 else [alias.name for alias in node.names])
+        assert getattr(node, "level", 0) == 0
+        assert not any(name.split(".")[0] == "berezin" for name in names)
 
 
 @pytest.mark.parametrize("key", ["tol_identity", "tol_quadrature"])

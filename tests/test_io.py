@@ -12,7 +12,7 @@ import pytest
 import scipy
 
 import berezin
-from berezin import (ConfigError, GridFunction, PhaseGrid,
+from berezin import (ConfigError, GridFunction, ModelConfig, PhaseGrid,
                      RepresentationContext, default_config, gaussian_vector,
                      wigner)
 from berezin.io import (_BLOCK_ROWS, config_from_dict, config_to_dict,
@@ -80,6 +80,15 @@ def test_config_refuses_integers_above_the_ceilings():
     # refused before M ** n or G ** (2n) is taken
     with pytest.raises(ConfigError, match="n must not exceed"):
         config_from_dict(dict(base, n=10 ** 400))
+
+
+def test_config_round_trip_with_numpy_integers(tmp_path):
+    # save_config raised "Object of type int64 is not JSON serializable"
+    cfg = ModelConfig(n=np.int64(1), M=np.int64(8), G=np.int64(64))
+    p = tmp_path / "cfg.json"
+    save_config(p, cfg)
+    assert load_config(p) == cfg
+    assert json.loads(p.read_text())["M"] == 8
 
 
 def test_load_config_bad_file(tmp_path):

@@ -11,8 +11,8 @@ from berezin import (HeisenbergElement, HermiteState, PhasePoint,
                      basis_state, coherent_state, default_config,
                      default_L, gaussian_vector, hermite_columns, multiply,
                      rep_matrix)
-from berezin.schroedinger import (_expand_nodes, _interpolation_matrix,
-                                 displacement_1d)
+from berezin.core import _expand_nodes
+from berezin.schroedinger import _interpolation_matrix, displacement_1d
 from berezin.oracle import (PositionGrid, displacement_element,
                             gauss_hermite_matrix_element,
                             oracle_matrix_element, synthesize)

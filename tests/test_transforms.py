@@ -14,8 +14,9 @@ from berezin import (GridFunction, HermiteState, ModelConfig, OperatorMatrix,
                      default_config, fourier_orbit, gaussian_vector,
                      identity_operator, inner_l2, inverse_fourier_orbit,
                      moyal_residual, orbit_inner, wigner)
+from berezin.core import _expand_nodes
 from berezin.oracle import oracle_double_sum_ft
-from berezin.schroedinger import _expand_nodes, ambiguity_batch
+from berezin.schroedinger import ambiguity_batch
 from berezin.transforms import OrbitGridFunction, _guard_wigner, _orbit_dft
 
 
@@ -507,6 +508,16 @@ def test_grid_functions_accept_extreme_finite_values(cls):
     v[:4] = [tiny, -tiny, 1j * tiny, 1e-310 - 1e-310j]
     got = cls(grid=grid, values=v)
     assert np.array_equal(got.values, v)
+
+
+@pytest.mark.parametrize("cls", [GridFunction, OrbitGridFunction])
+def test_from_nodes_makes_the_class_it_is_called_on(cls):
+    grid = PhaseGrid(n=1, lam=1.0, L=4.0, G=8)
+    S, F = np.full((1, 1), 2.0 + 1.0j), np.ones((8, 1))
+    sample = cls._from_nodes(grid, S, F)
+    assert type(sample) is cls and sample._nodes == (S, F)
+    assert not S.flags.writeable and "values" not in vars(sample)
+    assert np.array_equal(sample.values, np.full(64, 2.0 + 1.0j))
 
 
 _FLOAT_MAX = np.finfo(float).max
