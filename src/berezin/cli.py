@@ -19,7 +19,7 @@ import sys
 
 from .core import ConfigError, HermiteState, OperatorMatrix, TruncationError
 from .io import (config_to_dict, load_config, read_operator_csv,
-                 read_state_csv, write_grid_csv, write_run_manifest)
+                 read_state_csv, write_grid_csv, write_json, write_run_manifest)
 from .schroedinger import RepresentationContext, gaussian_vector
 from .symbols import check_symbol_map, covariant_symbol, injectivity_report
 from .transforms import _guard_wigner, coefficient_map, inverse_fourier_orbit
@@ -152,9 +152,7 @@ def cmd_report(cfg, args) -> int:
             lines.append("%3d  %14.8e  %14.8e  %12.6g  %s" %
                          (r["M"], r["sigma_min"], r["sigma_max"], r["cond"],
                           r["verdict"]))
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, doc)
     _finish(cfg, args, [json_path], summary, doc, "\n".join(lines))
     return 0
 

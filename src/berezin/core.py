@@ -10,8 +10,9 @@ are dense (M**n x M**n) matrices in that basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import prod
+from dataclasses import dataclass, field, fields
+from math import isfinite, prod
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -40,6 +41,7 @@ class ModelConfig:
     L: phase-space half-width per axis; None takes default_L(lam, M).
     G: grid points per axis (even).
     tol_identity / tol_quadrature: verification tolerances.
+    Every value is checked here and stored as an int (n, M, G) or a float.
     """
 
     n: int = 1
@@ -51,6 +53,10 @@ class ModelConfig:
     tol_quadrature: float = 1e-5
 
     def __post_init__(self):
+        for f in fields(self):  # every type before any bound
+            if f.name != "L" or self.L is not None:
+                object.__setattr__(self, f.name,
+                                   _checked(f.name, getattr(self, f.name)))
         for key, ceiling in (("n", MAX_N), ("M", MAX_M), ("G", MAX_G)):
             if getattr(self, key) > ceiling:
                 raise ConfigError("%s must not exceed %d" % (key, ceiling))
@@ -60,7 +66,7 @@ class ModelConfig:
             raise ConfigError("M must be a positive integer")
         if self.L is None:  # name a bad lam or G before default_L reads lam
             _validate_lattice(self.lam, 1.0, self.G)
-            object.__setattr__(self, "L", default_L(self.lam, self.M))
+            object.__setattr__(self, "L", float(default_L(self.lam, self.M)))
         _validate_lattice(self.lam, self.L, self.G)
         for key in ("n", "M", "G"):  # integral as validated: store them int
             object.__setattr__(self, key, int(getattr(self, key)))
@@ -81,6 +87,21 @@ def default_L(lam: float, M: int) -> float:
 
 
 default_config = ModelConfig  # every default is a field default
+
+
+def _checked(key: str, value) -> int | float:
+    """value, as a float unless key is n, M or G; ConfigError naming the key
+    unless it is a real number other than a bool (for n, M, G a finite one)."""
+    integer = key in ("n", "M", "G")
+    if isinstance(value, bool) or not isinstance(value, Real) or (
+            integer and not isinstance(value, Integral) and not isfinite(value)):
+        raise ConfigError("config key %r must be %s" % (
+            "lambda" if key == "lam" else key,
+            "an integer" if integer else "a number"))
+    try:
+        return value if integer else float(value)
+    except OverflowError:  # an int past the float range: not finite
+        return np.inf
 
 
 def _validate_lattice(lam: float, L: float, G: int) -> None:
@@ -133,6 +154,8 @@ class PhaseGrid:
     G: int
 
     def __post_init__(self):
+        for key in ("lam", "L", "G"):
+            object.__setattr__(self, key, _checked(key, getattr(self, key)))
         _validate_lattice(self.lam, self.L, self.G)
         object.__setattr__(self, "G", int(self.G))
 

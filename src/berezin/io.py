@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import platform
+from dataclasses import fields
 from datetime import datetime, timezone
 from itertools import product
 
@@ -17,17 +18,25 @@ import scipy
 
 from .core import ConfigError, ModelConfig
 
-_CONFIG_KEYS = ("n", "lambda", "M", "L", "G", "tol_identity", "tol_quadrature")
+# JSON key -> field of ModelConfig: each field, lam written "lambda"
+_CONFIG_KEYS = {"lambda" if f.name == "lam" else f.name: f.name
+                for f in fields(ModelConfig)}
 _BLOCK_ROWS = 4096  # rows per `%` in write_grid_csv (G if G is larger)
 
 
+def write_json(path, doc) -> None:
+    """doc as JSON, indented by 2 with sorted keys, and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def config_to_dict(cfg: ModelConfig) -> dict:
-    return {"n": cfg.n, "lambda": cfg.lam, "M": cfg.M, "L": cfg.L, "G": cfg.G,
-            "tol_identity": cfg.tol_identity,
-            "tol_quadrature": cfg.tol_quadrature}
+    return {key: getattr(cfg, name) for key, name in _CONFIG_KEYS.items()}
 
 
 def config_from_dict(data) -> ModelConfig:
+    """ModelConfig checks the values; a null L, which it defaults, is not."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(set(data) - set(_CONFIG_KEYS))
@@ -36,24 +45,9 @@ def config_from_dict(data) -> ModelConfig:
     missing = sorted(set(_CONFIG_KEYS) - set(data))
     if missing:
         raise ConfigError("missing config keys: %s" % ", ".join(missing))
-
-    def integer(key):
-        v = data[key]
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or (isinstance(v, float) and not v.is_integer())):
-            raise ConfigError("config key %r must be an integer" % key)
-        return int(v)
-
-    def real(key):
-        v = data[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError("config key %r must be a number" % key)
-        return float(v)
-
-    return ModelConfig(n=integer("n"), lam=real("lambda"), M=integer("M"),
-                       L=real("L"), G=integer("G"),
-                       tol_identity=real("tol_identity"),
-                       tol_quadrature=real("tol_quadrature"))
+    if data["L"] is None:
+        raise ConfigError("config key 'L' must be a number")
+    return ModelConfig(**{name: data[key] for key, name in _CONFIG_KEYS.items()})
 
 
 def load_config(path) -> ModelConfig:
@@ -68,9 +62,7 @@ def load_config(path) -> ModelConfig:
 
 
 def save_config(path, cfg: ModelConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, config_to_dict(cfg))
 
 
 def _csv_header(n: int, coords: tuple) -> str:
@@ -106,9 +98,7 @@ def write_grid_csv(path, fn, quantity: str, cfg: ModelConfig) -> list:
                 "lattice": {"step": fn.step, "weight": fn.weight},
                 "quantity": quantity}
     sidecar = str(path) + ".manifest.json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar, manifest)
     return [path, sidecar]
 
 
@@ -187,6 +177,4 @@ def write_run_manifest(path, cfg: ModelConfig, command: str, outputs: list,
            "versions": _versions()}
     if seed is not None:
         doc["seed"] = seed
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

@@ -30,6 +30,7 @@ from .schroedinger import (RepresentationContext, _refuse_over_guard,
 
 _MAX_MODE = 64  # eval_hermite values stay inside float64 range up to here
 _GH_ORDER = 180  # nodes of gauss_hermite_matrix_element's rule
+_MAP_LIMIT = 2 ** 26  # max complex entries of table_symbol_map's working set
 
 
 def _position_bounds(cfg: ModelConfig) -> tuple[float, float]:
@@ -217,11 +218,14 @@ def table_frame_operator(ctx: RepresentationContext) -> np.ndarray:
 def table_symbol_map(ctx: RepresentationContext) -> tuple[np.ndarray, np.ndarray]:
     """(G^{2n}, M^{2n}) symbol map off the coherent table and its singular
     values: column (i * dim + j) is sqrt(density * cell_weight) S(e_i (x) e_j*)
-    over the grid.  Oracle of symbols.build_symbol_map; up to 2^26 entries.
+    over the grid.  Oracle of symbols.build_symbol_map.  The count refused
+    over _MAP_LIMIT is the map, the coherent table and the larger of the
+    table's conjugate and the SVD's copy of the map (coherent_table guards
+    its own construction).
     """
     grid, dim = ctx.grid, ctx.cfg.dim
-    if grid.num_points * dim * dim > 2 ** 26:
-        raise MemoryError("symbol map matrix over the size guard; reduce M or G")
+    _refuse_over_guard("table symbol map", grid.num_points,
+                       grid.num_points * dim * (2 * dim + 1), _MAP_LIMIT)
     C = ctx.coherent_table()
     entries = np.einsum("ki,kj->kij", C, C.conj()).reshape(C.shape[0], -1)
     entries *= np.sqrt(grid.density * grid.cell_weight)

@@ -151,13 +151,14 @@ def _guard_node_route(name: str, grid: PhaseGrid, M: int, own: int,
                           nodes + (N + G) * G * max(N, G) ** (2 * n - 2))))
 
 
-def _refuse_over_guard(name: str, points: int, need: int) -> None:
+def _refuse_over_guard(name: str, points: int, need: int, limit=None) -> None:
     """MemoryError naming the bound when a working set of `need` complex
-    entries on `points` grid points exceeds _TABLE_LIMIT."""
-    if need > _TABLE_LIMIT:
+    entries on `points` grid points exceeds limit (None: _TABLE_LIMIT)."""
+    limit = _TABLE_LIMIT if limit is None else limit
+    if need > limit:
         raise MemoryError("%s on %d grid points needs %d complex entries, "
                           "over the size guard of %d; reduce G or M"
-                          % (name, points, need, _TABLE_LIMIT))
+                          % (name, points, need, limit))
 
 
 @dataclass

@@ -543,3 +543,23 @@ def test_report_sweep_beyond_svd_guard_exits_2_up_front(paths, capsys):
     assert ("symbol map SVD needs 70094616 complex entries, over the size "
             "guard of 67108864" in capsys.readouterr().err)
     assert not os.path.exists(out / "injectivity.json")
+
+
+@pytest.mark.parametrize("key, raw, message", [
+    ("L", "null", "config key 'L' must be a number"),
+    ("lambda", "1" + "0" * 400, "lambda must be a positive finite real"),
+    ("M", "true", "config key 'M' must be an integer"),
+    ("tol_identity", '"1e-6"', "config key 'tol_identity' must be a number")],
+    ids=["L-null", "lambda-401-digits", "M-true", "tol_identity-string"])
+def test_config_value_refused_by_model_config_exits_2(paths, capsys, key, raw,
+                                                      message):
+    # a 401-digit lambda raised an OverflowError traceback
+    data = json.loads(paths["cfg_path"].read_text())
+    data[key] = "RAW"
+    cfg_path = paths["root"] / "cfg_refused.json"
+    cfg_path.write_text(json.dumps(data).replace('"RAW"', raw))
+    out = paths["root"] / "out_refused"
+    rc = main(["report", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (out / "injectivity.json").exists()

@@ -259,3 +259,41 @@ def test_hermite_columns_match_scipy_at_63_columns():
 def test_default_L_scaling():
     assert default_L(1.0, 16) == pytest.approx(4.0 * np.sqrt(33.0))
     assert default_L(4.0, 16) == pytest.approx(default_L(1.0, 16) / 2.0)
+
+
+_FIELDS = ["n", "lam", "M", "L", "G", "tol_identity", "tol_quadrature"]
+
+
+@pytest.mark.parametrize("key, bad", [
+    (key, bad) for key in _FIELDS
+    for bad in (np.nan, np.inf, -np.inf, True, "1", None, 10 ** 400)
+    if not (key == "L" and bad is None)],  # L = None takes default_L
+    ids=lambda v: "1e400" if v == 10 ** 400 else str(v))
+def test_config_refuses_non_real_or_non_finite_fields(key, bad):
+    # n = nan raised "cannot convert float NaN to integer", n = True served
+    # n = 1, lam = "1" raised TypeError, and an int past the float range in
+    # lam raised OverflowError
+    name = "lambda" if key == "lam" else key
+    with pytest.raises(ConfigError,
+                       match="^(config key '%s'|%s) must" % (name, name)):
+        ModelConfig(**{key: bad})
+
+
+def test_config_stores_real_fields_as_float():
+    cfg = ModelConfig(n=np.int64(1), lam=np.float32(0.5), M=np.int64(8),
+                      L=np.float64(30.0), G=np.int64(128),
+                      tol_identity=np.float32(1e-6),
+                      tol_quadrature=np.float64(1e-5))
+    assert [type(getattr(cfg, key)) for key in _FIELDS] == \
+        [int, float, int, float, int, float, float]
+    assert cfg.lam == 0.5 and cfg.tol_identity == float(np.float32(1e-6))
+    assert type(ModelConfig(lam=np.float32(2.0)).L) is float
+
+
+def test_phase_grid_refuses_non_real_fields_and_stores_them_plain():
+    with pytest.raises(ConfigError, match="config key 'lambda' must be a number"):
+        PhaseGrid(n=1, lam="1", L=4.0, G=8)
+    with pytest.raises(ConfigError, match="config key 'G' must be an integer"):
+        PhaseGrid(n=1, lam=1.0, L=4.0, G=np.nan)
+    grid = PhaseGrid(n=1, lam=np.float32(1.0), L=np.int64(4), G=np.int64(8))
+    assert [type(v) for v in (grid.lam, grid.L, grid.G)] == [float, float, int]

@@ -311,3 +311,26 @@ def test_run_manifest_records_versions(tmp_path):
     assert versions == {"berezin": berezin.__version__,
                         "numpy": np.__version__, "scipy": scipy.__version__,
                         "python": platform.python_version()}
+
+
+@pytest.mark.parametrize("real", [np.float32, np.float64])
+def test_config_round_trip_with_numpy_scalars(tmp_path, real):
+    # ModelConfig(lam=np.float32(1.0)) validated, then save_config raised
+    # "Object of type float32 is not JSON serializable"
+    cfg = ModelConfig(n=np.int64(1), lam=real(0.5), M=np.int64(8),
+                      L=real(default_config(lam=0.5, M=8).L), G=np.int64(128),
+                      tol_identity=real(1e-6), tol_quadrature=real(1e-5))
+    p = tmp_path / "cfg.json"
+    save_config(p, cfg)
+    loaded = load_config(p)
+    assert loaded == cfg
+    for c in (cfg, loaded):
+        assert [type(v) for v in config_to_dict(c).values()] == \
+            [int, float, int, float, int, float, float]
+
+
+def test_config_from_dict_refuses_null_L():
+    # ModelConfig(L=None) takes default_L; a config file must name L
+    data = dict(config_to_dict(default_config()), L=None)
+    with pytest.raises(ConfigError, match="^config key 'L' must be a number$"):
+        config_from_dict(data)

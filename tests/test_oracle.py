@@ -7,12 +7,15 @@ charge.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from math import factorial
 
-from berezin import HeisenbergElement, RepresentationContext, default_config
+from berezin import (HeisenbergElement, RepresentationContext, default_config,
+                     oracle)
 from berezin.oracle import (PositionGrid, _position_bounds,
                             analytic_singular_values,
                             coherent_overlap_exact, displacement_element,
@@ -181,3 +184,42 @@ def test_gauss_hermite_nodes_cached_read_only():
     g = HeisenbergElement([0.6], [-0.9], 0.2)
     first = gauss_hermite_matrix_element(cfg, g, 3, 5)
     assert gauss_hermite_matrix_element(cfg, g, 3, 5) == first
+
+
+def test_table_symbol_map_guard_counts_the_map_twice_and_the_table(
+        monkeypatch):
+    # G^2 M (2M + 1) at n = 1, M = 4, G = 64: 4096 * 36 = 147456
+    cx = RepresentationContext(default_config(lam=1.0, M=4, G=64))
+    monkeypatch.setattr(oracle, "_MAP_LIMIT", 147455)
+    with pytest.raises(MemoryError, match=(
+            r"^table symbol map on 4096 grid points needs 147456 complex "
+            r"entries, over the size guard of 147455; reduce G or M$")):
+        table_symbol_map(cx)
+    monkeypatch.setattr(oracle, "_MAP_LIMIT", 147456)
+    assert table_symbol_map(cx)[1].shape == (16,)
+
+
+def test_table_symbol_map_guard_at_the_largest_test_config(monkeypatch):
+    # n = 2, M = 3, G = 24: the map alone is 26873856 entries; with the SVD's
+    # copy and the table, 56733696 <= 2^26 is served
+    cx = RepresentationContext(default_config(n=2, lam=1.0, M=3, G=24))
+    assert 56733696 <= oracle._MAP_LIMIT
+    monkeypatch.setattr(oracle, "_MAP_LIMIT", 0)
+    with pytest.raises(MemoryError, match="needs 56733696 complex entries"):
+        table_symbol_map(cx)
+
+
+@pytest.mark.parametrize("M, G", [(8, 128), (12, 128), (6, 256)])
+def test_table_symbol_map_guard_count_bounds_the_traced_peak(M, G):
+    # count / traced peak: 1.70, 1.79, 1.62 (the peak holds the map, the
+    # table and its conjugate; the SVD's copy is outside tracemalloc, and
+    # the RSS rise at (6, 256), 78.3 MiB, matched the count's 78.0 MiB)
+    cx = RepresentationContext(default_config(lam=1.0, M=M, G=G))
+    need = G * G * M * (2 * M + 1)
+    tracemalloc.start()
+    try:
+        table_symbol_map(cx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * need
