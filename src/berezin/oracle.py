@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.special import eval_hermite, gammaln, roots_genlaguerre
+import scipy  # scipy.special loads on the first oracle call
 
 from .core import GridFunction, HermiteState, ModelConfig, OperatorMatrix
 from .heisenberg import HeisenbergElement
@@ -67,7 +67,7 @@ def hermite_basis_value(lam: float, m: int, t: np.ndarray) -> np.ndarray:
         raise ValueError("mode index beyond oracle overflow guard")
     y = np.sqrt(lam) * np.asarray(t, dtype=float)
     norm = lam ** 0.25 / np.sqrt(2.0 ** m * factorial(m) * np.sqrt(np.pi))
-    return norm * eval_hermite(m, y) * np.exp(-y * y / 2.0)
+    return norm * scipy.special.eval_hermite(m, y) * np.exp(-y * y / 2.0)
 
 
 def synthesize(coeffs: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
@@ -164,7 +164,8 @@ def gauss_hermite_matrix_element(cfg: ModelConfig, g: HeisenbergElement,
     atil = np.sqrt(lam) * a
     nj = 1.0 / np.sqrt(2.0 ** j * factorial(j) * np.sqrt(np.pi))
     nk = 1.0 / np.sqrt(2.0 ** k * factorial(k) * np.sqrt(np.pi))
-    vals = (eval_hermite(j, u + atil / 2.0) * eval_hermite(k, u - atil / 2.0)
+    vals = (scipy.special.eval_hermite(j, u + atil / 2.0)
+            * scipy.special.eval_hermite(k, u - atil / 2.0)
             * np.exp(-1j * np.sqrt(lam) * b * (u + atil / 2.0)))
     integral = np.sum(w * vals)
     return complex(np.exp(1j * lam * (c + 0.5 * a * b))
@@ -297,10 +298,11 @@ def analytic_singular_values(M: int) -> np.ndarray:
     """
     sv = []
     for d in range(M):
-        s, w = roots_genlaguerre(M - d, d)
+        s, w = scipy.special.roots_genlaguerre(M - d, d)
         a = np.arange(M - d)
         F = np.exp(0.5 * (np.log(w) - (d + 1) * np.log(2.0))[:, None]
                    + np.log(s / 2.0)[:, None] * a
-                   - 0.5 * (gammaln(a + 1) + gammaln(a + d + 1)))
+                   - 0.5 * (scipy.special.gammaln(a + 1)
+                            + scipy.special.gammaln(a + d + 1)))
         sv += [np.linalg.svd(F, compute_uv=False)] * (1 if d == 0 else 2)
     return np.sort(np.concatenate(sv))[::-1]

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .core import (ModelConfig, HermiteState, OperatorMatrix, PhaseGrid,
                    TruncationError, build_grid, basis_state, hermite_columns)
@@ -98,12 +97,22 @@ def displacement_1d(lam: float, a, b, M: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _hermite_nodes(N: int) -> np.ndarray:
+    """Read-only positions of the N Gauss-Hermite nodes, from numpy's
+    hermgauss.  The node routes use them as interpolation points only and
+    never read the weights, so they share no quadrature with the oracles."""
+    x = np.polynomial.hermite.hermgauss(N)[0]
+    x.flags.writeable = False
+    return x
+
+
+@lru_cache(maxsize=16)
 def _node_table(M: int, root: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only c[(p, q), d] = C_d((x_p + i x_q)/root) and conj(c).T, x the
-    2M-1 Gauss-Hermite nodes: w at the phase point (x_p, x_q)/sqrt(s) of the
-    interpolation at scale s, root = sqrt(2 s/lam) (sqrt(2) for the covariant
-    symbol, s = lam; 1 for the coefficient map, s = lam/2)."""
-    x, _ = roots_hermite(2 * M - 1)
+    2M-1 nodes of _hermite_nodes: w at the phase point (x_p, x_q)/sqrt(s) of
+    the interpolation at scale s, root = sqrt(2 s/lam) (sqrt(2) for the
+    covariant symbol, s = lam; 1 for the coefficient map, s = lam/2)."""
+    x = _hermite_nodes(2 * M - 1)
     w = ((x[:, None] + 1j * x[None, :]) / root).ravel()
     c = _bargmann_columns(w, M)
     cbar_t = np.ascontiguousarray(c.conj().T)
@@ -116,14 +125,15 @@ def _node_table(M: int, root: float) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=16)
 def _interpolation_matrix(lam: float, L: float, G: int, M: int) -> np.ndarray:
     """Read-only B (G, 2M-1): B[k, p] is the Hermite-function interpolant
-    through (1 at node p, 0 at the other nodes) at sqrt(lam) * axis[k].
+    through (1 at node p, 0 at the other nodes of _hermite_nodes) at
+    sqrt(lam) * axis[k].
 
     B = E P^{-1}, E and P the first 2M-1 Hermite functions at the grid and at
     the nodes (cond(P) = 1.6 at M = 32): a solve, as the Gauss-Hermite weights
     invert P only up to their orthogonality defect (1e-13 at 63 nodes).
     """
     N = 2 * M - 1
-    x, _ = roots_hermite(N)
+    x = _hermite_nodes(N)
     axis = PhaseGrid(n=1, lam=lam, L=L, G=G).axis
     E = hermite_columns(np.sqrt(lam) * axis, N, 1.0)
     P = hermite_columns(x, N, 1.0)

@@ -3,8 +3,9 @@
 The coefficient map (f | pi(x) phi) is, per axis pair, e^{-lam(a^2+b^2)/4}
 times a polynomial of degree <= 2M-2 in each of a and b (C_d ell^d_j of the
 schroedinger module docstring), so, for any n, its samples at the Gauss-Hermite
-node pairs fix it and the interpolation matrix at scale lam/2 carries them to
-the grid; no grid-sized table is built.  The error is absolute, about
+node pairs (schroedinger._hermite_nodes, numpy's hermgauss positions) fix it
+and the interpolation matrix at scale lam/2 carries them to the grid; no
+grid-sized table is built.  The error is absolute, about
 eps * ||f|| ||phi||: tail values below that are rounding noise.
 
 The orbit carries Lebesgue measure in (alpha, beta) coordinates scaled by
@@ -24,10 +25,12 @@ Two routes serve the inverse transform.  A sample made by the node route
 (coefficient_map, or symbols.covariant_symbol) keeps its node tensor S and
 interpolation matrix B (values = S expanded by B on every axis, read-only);
 the DFT of that is S expanded by the DFT'd factor, so the inverse is that
-factor and the same S (inverse_fourier_orbit).  Every other sample, and the
-forward transform, takes _orbit_dft's n-D FFT, which is also the node
-route's oracle in the tests.  Node-route samples, the Wigner table among
-them, are shown finite by a bound on S and the factor
+factor, one 1-D inverse FFT by numpy.fft, and the same S
+(inverse_fourier_orbit).  Every other sample, and the forward transform,
+takes _orbit_dft's n-D FFT by scipy.fft, which is also the node route's
+oracle in the tests; so the node route runs on numpy alone, and scipy.fft
+loads on the first _orbit_dft call.  Node-route samples, the Wigner table
+among them, are shown finite by a bound on S and the factor
 (GridFunction._from_nodes) and expand their values, one matmul per axis,
 only on their first read; inner_l2, and so the norms and moyal_residual,
 pair them in node form without reading them.  Every other sample's values
@@ -38,13 +41,12 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.fft
-from scipy.special import roots_hermite
+import scipy  # scipy.fft loads on first use
 
 from .core import GridFunction, HermiteState, inner_l2
 from .schroedinger import (RepresentationContext, _guard_node_route,
-                           _interpolation_matrix, _laguerre_factors,
-                           _node_table)
+                           _hermite_nodes, _interpolation_matrix,
+                           _laguerre_factors, _node_table)
 
 
 class OrbitGridFunction(GridFunction):
@@ -148,12 +150,12 @@ def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
     Samples from coefficient_map and symbols.covariant_symbol carry their
     node tensor S and interpolation matrix B, values = S expanded by B on
     every axis; the orbit DFT of that is S expanded by FB, the checkerboard
-    inverse DFT of B's columns times weight^(1/2n) (the (-1)^{G/2} factors
-    cancel over the 2n axes, as in _orbit_dft).  That route builds FB
-    only: the Wigner values expand on their first read.  It still refuses
-    up front that expansion beside its input sample's table and FB
-    (_guard_node_route), so it refuses what wigner refuses.  Every other
-    sample takes the n-D FFT of _orbit_dft.
+    inverse DFT of B's columns (numpy.fft) times weight^(1/2n) (the
+    (-1)^{G/2} factors cancel over the 2n axes, as in _orbit_dft).  That
+    route builds FB only: the Wigner values expand on their first read.  It
+    still refuses up front that expansion beside its input sample's table
+    and FB (_guard_node_route), so it refuses what wigner refuses.  Every
+    other sample takes the n-D FFT of _orbit_dft.
     """
     if type(F) is not GridFunction:
         raise ValueError("inverse_fourier_orbit takes samples on the phase grid")
@@ -165,7 +167,7 @@ def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
     _guard_node_route("inverse orbit transform", F.grid, (N + 1) // 2, 0,
                       F.grid.num_points + G * N)
     signs = _checkerboard(1, G)[:, None]
-    FB = scipy.fft.ifft(B * signs, axis=0, norm="forward")
+    FB = np.fft.ifft(B * signs, axis=0, norm="forward")
     FB *= F.weight ** (0.5 / F.grid.n) * signs
     return OrbitGridFunction._from_nodes(F.grid, S, FB)
 
@@ -207,7 +209,7 @@ def _map_nodes(f: np.ndarray, phi: np.ndarray, M: int, n: int) -> np.ndarray:
     the Laguerre form on each diagonal d of f (x) conj(phi), one axis pair at a
     time, its recurrence stopped at the window's last nonzero mode J."""
     N = 2 * M - 1
-    x, _ = roots_hermite(N)
+    x = _hermite_nodes(N)
     rho = (x[:, None] ** 2 + x[None, :] ** 2).ravel()  # |w|^2 at node pairs
     c, cbar_t = _node_table(M, 1.0)
     window = phi.reshape((M,) * n)

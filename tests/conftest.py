@@ -5,10 +5,10 @@ import re
 import tracemalloc
 from contextlib import contextmanager
 
+# the node routes' first hermgauss call imports numpy.polynomial; loaded here,
+# that one-time import is not counted in the tracemalloc peak of the routes
+import numpy.polynomial  # noqa: F401
 import pytest
-# roots_hermite imports scipy.linalg on its first call; loaded here, that
-# one-time import is not counted in the tracemalloc peak of the routes
-import scipy.linalg  # noqa: F401
 
 from berezin import (ModelConfig, RepresentationContext, default_L,
                      schroedinger)
@@ -54,7 +54,7 @@ def need_and_peak(monkeypatch):
             with pytest.raises(MemoryError) as exc:
                 call()
         need = int(re.search(r"needs (\d+) complex", str(exc.value)).group(1))
-        for cache in (schroedinger._node_table,
+        for cache in (schroedinger._hermite_nodes, schroedinger._node_table,
                       schroedinger._laguerre_coefficients,
                       schroedinger._interpolation_matrix):
             cache.cache_clear()

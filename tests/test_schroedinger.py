@@ -8,11 +8,13 @@ import pytest
 
 from berezin import (HeisenbergElement, HermiteState, PhasePoint,
                      RepresentationContext, TruncationError, apply_group,
-                     basis_state, coherent_state, default_config,
-                     default_L, gaussian_vector, hermite_columns, multiply,
-                     rep_matrix)
+                     basis_state, coefficient_map, coherent_state,
+                     covariant_symbol, default_config, default_L,
+                     gaussian_vector, hermite_columns, identity_operator,
+                     multiply, rep_matrix, schroedinger)
 from berezin.core import _expand_nodes
-from berezin.schroedinger import _interpolation_matrix, displacement_1d
+from berezin.schroedinger import (_hermite_nodes, _interpolation_matrix,
+                                  displacement_1d)
 from berezin.oracle import (PositionGrid, displacement_element,
                             gauss_hermite_matrix_element,
                             oracle_matrix_element, synthesize)
@@ -293,3 +295,34 @@ def test_expand_nodes_matches_complex_axis_contractions(n, M, G):
     assert got.dtype == complex and got.flags.c_contiguous
     assert np.abs(got - ref).max() <= 4e-15 * np.abs(got).max()
     assert not B.flags.writeable
+
+
+def test_hermite_nodes_match_scipy_and_are_cached_read_only():
+    # numpy's hermgauss against scipy's roots_hermite: measured 1.8e-15
+    from scipy.special import roots_hermite
+    for N in range(1, 64, 2):
+        x = _hermite_nodes(N)
+        assert x.shape == (N,)
+        assert np.abs(x - roots_hermite(N)[0]).max() <= 4e-15
+        assert _hermite_nodes(N) is x and not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
+@pytest.mark.parametrize("n, M, G", [(1, 8, 128), (2, 3, 32)])
+def test_node_routes_read_the_cached_nodes(monkeypatch, n, M, G):
+    # nodes computed once per N: with the node table and B cleared, the
+    # map and the symbol rebuild them without calling hermgauss again
+    cx = RepresentationContext(default_config(n=n, M=M, G=G))
+    _hermite_nodes(2 * M - 1)
+    schroedinger._node_table.cache_clear()
+    schroedinger._interpolation_matrix.cache_clear()
+
+    def refuse(N):
+        raise AssertionError("hermgauss recomputed the nodes")
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", refuse)
+    vac = gaussian_vector(cx.cfg)
+    identity = identity_operator(cx.cfg.dim)
+    assert coefficient_map(cx, vac, vac)._nodes is not None
+    assert covariant_symbol(cx, identity)._nodes is not None

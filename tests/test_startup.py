@@ -1,11 +1,16 @@
-"""What a fresh interpreter loads to import the package, to start the CLI and
-to run the position-space quadrature oracle.
+"""What a fresh interpreter loads to import the package, to start the CLI,
+to run the node-route commands and the battery, and to run the
+position-space quadrature oracle.
 
-Start-up loads scipy.special and scipy.fft and scipy's private and meta
-modules, nothing else of scipy.  No module of the package imports
-scipy.signal, which pulls in scipy.stats, optimize, integrate, interpolate,
-ndimage, sparse and spatial: the Riemann quadrature oracle
-(oracle.riemann_sum, batched by ambiguity_batch) is one matmul.
+The node route needs numpy only: its Gauss-Hermite node positions come from
+numpy's hermgauss and its 1-D inverse FFT from numpy.fft.  So start-up loads
+no public scipy submodule, and `symbol`, `wigner` and `report` load none of
+scipy.special, scipy.fft or scipy.linalg.  The oracles (scipy.special) and
+the n-D orbit FFT (scipy.fft) load theirs on first use, as `verify` does.
+No module of the package imports scipy.signal, which pulls in scipy.stats,
+optimize, integrate, interpolate, ndimage, sparse and spatial: the Riemann
+quadrature oracle (oracle.riemann_sum, batched by ambiguity_batch) is one
+matmul.
 """
 from __future__ import annotations
 
@@ -14,17 +19,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from berezin import default_config
+from berezin.io import save_config, write_operator_csv, write_state_csv
+
 SRC = Path(__file__).resolve().parents[1] / "src"
-PUBLIC = {"scipy.special", "scipy.fft"}
+HEAVY = {"scipy.special", "scipy.fft", "scipy.linalg"}
 
 
-def _imported(*args: str) -> set[str]:
+def _imported(*args: str, cwd=None) -> set[str]:
     """Modules a fresh `python -X importtime *args` imports, from its log."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=env, cwd=cwd,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return {line.rsplit("|", 1)[1].strip()
@@ -32,20 +41,57 @@ def _imported(*args: str) -> set[str]:
             if line.startswith("import time:") and "|" in line}
 
 
+def _scipy_subpackages(mods: set[str]) -> set[str]:
+    """The scipy subpackages that mods load from.  A subpackage that scipy
+    loads lazily (on attribute access, through importlib) has no line of its
+    own in the log, but its modules do."""
+    return {".".join(m.split(".")[:2]) for m in mods
+            if m.startswith("scipy.")}
+
+
+def _public_scipy(mods: set[str]) -> set[str]:
+    """The public scipy subpackages among mods: scipy._lib, scipy.__config__,
+    scipy.version, ... are private or meta."""
+    return {m for m in _scipy_subpackages(mods)
+            if not m.split(".")[1].startswith("_") and m != "scipy.version"}
+
+
 @pytest.mark.parametrize("args", [("-c", "import berezin, berezin.cli"),
                                   ("-m", "berezin", "--help")],
                          ids=["import", "cli-help"])
-def test_startup_loads_only_special_and_fft_of_scipy(args):
+def test_startup_loads_no_public_scipy_submodule(args):
     mods = _imported(*args)
-    assert "berezin.cli" in mods and PUBLIC <= mods
-    subpackages = {".".join(m.split(".")[:2]) for m in mods
-                   if m.startswith("scipy.")}
-    # scipy._lib, scipy.__config__, scipy.version, ... are private or meta
-    public = {m for m in subpackages if not m.split(".")[1].startswith("_")
-              and m != "scipy.version"}
-    assert public == PUBLIC
-    assert "scipy.signal" not in mods
+    assert "berezin.cli" in mods
+    assert _public_scipy(mods) == set()
 
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A directory holding the n = 1, M = 4, G = 32 config, the identity
+    operator and the state e_1, for fresh `python -m berezin` processes."""
+    d = tmp_path_factory.mktemp("startup")
+    save_config(d / "cfg.json", default_config(n=1, M=4, G=32))
+    write_operator_csv(d / "op.csv", np.eye(4, dtype=complex))
+    write_state_csv(d / "state.csv", np.eye(4, dtype=complex)[1])
+    return d
+
+
+@pytest.mark.parametrize("command", [("symbol", "--operator", "op.csv"),
+                                     ("wigner", "--state", "state.csv"),
+                                     ("report",)],
+                         ids=lambda c: c[0])
+def test_node_route_commands_load_no_special_fft_or_linalg(small_run,
+                                                           command):
+    mods = _imported("-m", "berezin", *command, "--config", "cfg.json",
+                     "--out", "out-" + command[0], cwd=small_run)
+    assert "berezin.cli" in mods
+    assert _scipy_subpackages(mods) & HEAVY == set()
+
+
+def test_verify_loads_scipy_special_for_its_oracles(small_run):
+    mods = _imported("-m", "berezin", "verify", "--config", "cfg.json",
+                     "--out", "out-verify", cwd=small_run)
+    assert "scipy.special" in _scipy_subpackages(mods)
 
 
 def test_quadrature_oracle_loads_no_scipy_signal():

@@ -201,6 +201,24 @@ def test_node_route_wigner_matches_the_fft_oracle(n, M, G, lam, window):
         ref.values).max()
 
 
+@pytest.mark.parametrize("n, M, G, lam", [(1, 8, 128, 1.0), (1, 16, 128, 0.5),
+                                          (1, 32, 256, 4.0), (2, 5, 40, 1.0)])
+def test_node_inverse_factor_is_scipy_ifft_of_the_same_input(n, M, G, lam):
+    # FB comes from numpy.fft; scipy.fft.ifft of the checkerboarded B, with
+    # the same weight and signs, agrees to rounding (measured 1.5 eps)
+    cx = RepresentationContext(default_config(n=n, lam=lam, M=M, G=G))
+    amb = coefficient_map(cx, basis_state(cx.cfg.dim, 1),
+                          gaussian_vector(cx.cfg))
+    B = amb._nodes[1]
+    FB = inverse_fourier_orbit(amb)._nodes[1]
+    signs = np.where(np.arange(G) % 2, -1.0, 1.0)[:, None]
+    ref = (scipy.fft.ifft(B * signs, axis=0, norm="forward")
+           * amb.weight ** (0.5 / n) * signs)
+    assert FB.shape == ref.shape == (G, 2 * M - 1)
+    assert np.abs(FB - ref).max() <= 4 * np.finfo(float).eps * np.abs(
+        ref).max()
+
+
 def test_node_carrying_samples_are_read_only(ctx):
     # every node-route sample is one kind: node tensor, factor, read-only
     vac = gaussian_vector(ctx.cfg)
