@@ -22,7 +22,7 @@ from .io import (config_to_dict, load_config, read_operator_csv,
                  read_state_csv, write_grid_csv, write_json, write_run_manifest)
 from .schroedinger import RepresentationContext, gaussian_vector
 from .symbols import check_symbol_map, covariant_symbol, injectivity_report
-from .transforms import _guard_wigner, coefficient_map, inverse_fourier_orbit
+from .transforms import coefficient_map, inverse_fourier_orbit
 from .verify import run_verification
 
 
@@ -98,14 +98,14 @@ def cmd_symbol(cfg, args) -> int:
 
 def cmd_wigner(cfg, args) -> int:
     f = HermiteState(read_state_csv(args.state, cfg.dim))
-    ctx = RepresentationContext(cfg)
-    _guard_wigner(ctx)  # before the map runs
-    amb = coefficient_map(ctx, f, gaussian_vector(cfg))
+    amb = coefficient_map(RepresentationContext(cfg), f, gaussian_vector(cfg))
     wig = inverse_fourier_orbit(amb)
     amb_path = os.path.join(args.out, "ambiguity.csv")
     wig_path = os.path.join(args.out, "wigner.csv")
-    outputs = (write_grid_csv(amb_path, amb, "ambiguity", cfg)
-               + write_grid_csv(wig_path, wig, "wigner", cfg))
+    # both tables expand by one count, the first before any file is opened
+    outputs = write_grid_csv(amb_path, amb, "ambiguity", cfg)
+    del amb  # one table at a time
+    outputs += write_grid_csv(wig_path, wig, "wigner", cfg)
     _finish(cfg, args, outputs, {}, {"outputs": [amb_path, wig_path]},
             "wrote %s and %s" % (amb_path, wig_path))
     return 0

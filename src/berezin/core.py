@@ -29,6 +29,9 @@ class TruncationError(ValueError):
 MAX_N, MAX_M, MAX_G = 12, 4096, 65536
 # the largest float: GridFunction._from_nodes refuses half of it
 _FLOAT_MAX = float(np.finfo(float).max)
+# max complex entries of a grid-sized working set (_refuse_over_guard): each
+# count is the arrays its route holds at its peak, cached tables included
+_TABLE_LIMIT = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -287,6 +290,25 @@ def _require_finite(values: np.ndarray) -> None:
         raise ValueError("non-finite values")
 
 
+def _refuse_over_guard(name: str, points: int, need: int, limit=None) -> None:
+    """MemoryError naming the bound when a working set of `need` complex
+    entries on `points` grid points exceeds limit (None: _TABLE_LIMIT)."""
+    limit = _TABLE_LIMIT if limit is None else limit
+    if need > limit:
+        raise MemoryError("%s on %d grid points needs %d complex entries, "
+                          "over the size guard of %d; reduce G or M"
+                          % (name, points, need, limit))
+
+
+def _expansion_need(N: int, G: int, n: int) -> int:
+    """Complex entries of _expand_nodes's largest step by a (G, N) factor:
+    the node tensor and the step's input and output (the first step's input
+    is the tensor's copy in grid order, freed once that step is done)."""
+    nodes = N ** (2 * n)
+    return max(2 * nodes + nodes // N * G,
+               nodes + (N + G) * G * max(N, G) ** (2 * n - 2))
+
+
 def _expand_nodes(S: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     """Node values S, axes (a_1 b_1 a_2 b_2 ..), carried to the grid by the
     (G, N) factor B on every axis, returned contiguous in grid order
@@ -324,7 +346,8 @@ class GridFunction:
     symbol and the node-route Wigner table).  Its values are then S
     expanded by F (_expand_nodes), computed on their first read and kept,
     read-only (and no field can be rebound), so the two cannot drift apart;
-    they are shown finite from S and F instead of being scanned
+    that read alone counts the expansion (_expansion_need); they are shown
+    finite from S and F instead of being scanned
     (_require_finite), and inner_l2 pairs two such samples in node form
     without reading them.  _nodes is not an __init__ argument: only
     _from_nodes sets it.  Samples compare by identity, and repr leaves the
@@ -369,7 +392,10 @@ class GridFunction:
         # only a node-route sample lacks values: expand them on first read
         if name != "values" or self._nodes is None:
             raise AttributeError(name)
-        values = _expand_nodes(*self._nodes, self.grid.n).reshape(-1)
+        (S, F), n = self._nodes, self.grid.n
+        _refuse_over_guard("node expansion", self.grid.num_points,
+                           _expansion_need(F.shape[1], F.shape[0], n))
+        values = _expand_nodes(S, F, n).reshape(-1)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         return values

@@ -23,10 +23,10 @@ from math import factorial
 import numpy as np
 import scipy  # scipy.special loads on the first oracle call
 
-from .core import GridFunction, HermiteState, ModelConfig, OperatorMatrix
+from .core import (GridFunction, HermiteState, ModelConfig, OperatorMatrix,
+                   _refuse_over_guard)
 from .heisenberg import HeisenbergElement
-from .schroedinger import (RepresentationContext, _refuse_over_guard,
-                           displacement_1d)
+from .schroedinger import RepresentationContext, displacement_1d
 
 _MAX_MODE = 64  # eval_hermite values stay inside float64 range up to here
 _GH_ORDER = 180  # nodes of gauss_hermite_matrix_element's rule

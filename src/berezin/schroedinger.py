@@ -16,10 +16,10 @@ of them.
 
 The coefficient map and the covariant symbol take their values at the
 Gauss-Hermite node pairs from _node_table and carry them to the grid with one
-interpolation matrix per axis (_interpolation_matrix); one working-set
-count refuses both (_guard_node_route).  Their samples are node-form
-GridFunctions (core.GridFunction._from_nodes), whose values are expanded by
-core._expand_nodes on their first read.
+interpolation matrix per axis (_interpolation_matrix); _guard_node_route
+counts what each holds.  Their samples are node-form GridFunctions
+(core.GridFunction._from_nodes), whose values are expanded, and counted,
+on their first read.
 
 Matrix orientation: rep_matrix(g)[j, k] = (pi(g) e_k | e_j), the coefficient
 of e_j in pi(g) e_k, so column k literally equals apply_group(g, e_k) and
@@ -34,12 +34,10 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .core import (ModelConfig, HermiteState, OperatorMatrix, PhaseGrid,
-                   TruncationError, build_grid, basis_state, hermite_columns)
+                   TruncationError, _refuse_over_guard, build_grid,
+                   basis_state, hermite_columns)
 from .heisenberg import HeisenbergElement, PhasePoint
 
-# max complex entries of a grid-sized working set (_refuse_over_guard): each
-# count is the arrays its route holds at its peak, cached tables included
-_TABLE_LIMIT = 2 ** 24
 # table entries below this modulus are stored as exact zeros, so every product
 # of two entries is zero or a normal float (subnormal arithmetic is slow)
 _TABLE_FLOOR = 2.0 ** -511
@@ -142,33 +140,14 @@ def _interpolation_matrix(lam: float, L: float, G: int, M: int) -> np.ndarray:
     return B
 
 
-def _guard_node_route(name: str, grid: PhaseGrid, M: int, own: int,
-                      beside: int = 0) -> None:
+def _guard_node_route(name: str, grid: PhaseGrid, M: int, own: int) -> None:
     """Refuse, before anything is computed, a node route at truncation M on
     grid whose working set exceeds the size guard: the cached node table (c
-    and conj(c).T) and B, beside the larger of the caller's node stage
-    (`own` complex entries) and the largest expansion step of
-    core._expand_nodes with `beside` entries the caller holds through the expansion.  The
-    expansion runs on the sample's first read of its values, not in the
-    route, but is counted as if the route ran it.  Every step holds the
-    node tensor and its own input and output; the first step's input is
-    the tensor's copy in grid order, freed once that step is done."""
-    G, n = grid.G, grid.n
+    and conj(c).T) and B beside the caller's own stage (`own` complex
+    entries).  The sample's values are counted on their first read, where
+    they are expanded (core.GridFunction)."""
     N = 2 * M - 1
-    nodes = N ** (2 * n)
-    _refuse_over_guard(name, G ** (2 * n), 2 * M * N * N + N * G + max(
-        own, beside + max(2 * nodes + nodes // N * G,
-                          nodes + (N + G) * G * max(N, G) ** (2 * n - 2))))
-
-
-def _refuse_over_guard(name: str, points: int, need: int, limit=None) -> None:
-    """MemoryError naming the bound when a working set of `need` complex
-    entries on `points` grid points exceeds limit (None: _TABLE_LIMIT)."""
-    limit = _TABLE_LIMIT if limit is None else limit
-    if need > limit:
-        raise MemoryError("%s on %d grid points needs %d complex entries, "
-                          "over the size guard of %d; reduce G or M"
-                          % (name, points, need, limit))
+    _refuse_over_guard(name, grid.num_points, 2 * M * N * N + N * grid.G + own)
 
 
 @dataclass

@@ -40,7 +40,7 @@ from functools import reduce
 import numpy as np
 
 from .core import (GridFunction, HermiteState, OperatorMatrix,
-                   TruncationError, hs_inner, inner_l2)
+                   TruncationError, _expansion_need, hs_inner, inner_l2)
 from .heisenberg import HeisenbergElement, PhasePoint, project_to_phase
 from .schroedinger import (RepresentationContext, _guard_node_route,
                            _interpolation_matrix, _node_table, coherent_state,
@@ -134,11 +134,11 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
     on its column index, giving S at the (2M-1)^{2n} node points.  Expansion:
     the node values in grid order (a_1..a_n, b_1..b_n), then the
     interpolation matrix B on each of the 2n axes.  Absolute error about
-    eps * max|S|.  The size guard counts the expansion and the last node
-    step: the tensordot output (M (2M-1)^{2n} entries), multiplied by
-    conj(c) in place, and its sum; node values that overflow are refused by
-    GridFunction._from_nodes.  The result keeps its node tensor and B,
-    and its values, expanded on their first read, are read-only.
+    eps * max|S|.  The size guard counts the last node step: the tensordot
+    output (M (2M-1)^{2n} entries), multiplied by conj(c) in place, and its
+    sum; node values that overflow are refused by GridFunction._from_nodes.
+    The result keeps its node tensor and B, and its values, expanded on
+    their first read, are read-only.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if A.dim != cfg.dim:
@@ -192,7 +192,8 @@ def covariance_residual(ctx: RepresentationContext, A: OperatorMatrix,
     grid points z with both z and x.z inside the sup-norm box L/2, one range
     per axis.  The first symbol is cut to that window before the second is
     built; the guard counts both operators and two windows (numpy copies the
-    second symbol's in the subtraction) beside covariant_symbol's stages.
+    second symbol's in the subtraction) beside the symbols' node stage or
+    the expansion of their values.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if A.dim != cfg.dim:
@@ -211,10 +212,10 @@ def covariance_residual(ctx: RepresentationContext, A: OperatorMatrix,
     lo, hi = box[0] + np.maximum(0, -d), box[-1] + 1 - np.maximum(0, d)
     if np.any(hi <= lo):
         raise ValueError("no valid evaluation points for this displacement")
-    size = int(np.prod(hi - lo))
-    held = 2 * cfg.dim ** 2 + size  # both operators, the first window
-    _guard_node_route("covariance residual", grid, cfg.M, held + (cfg.M + 1)
-                      * (2 * cfg.M - 1) ** (2 * cfg.n), held + size)
+    size, N = int(np.prod(hi - lo)), 2 * cfg.M - 1
+    _guard_node_route("covariance residual", grid, cfg.M, 2 * cfg.dim ** 2
+                      + size + max((cfg.M + 1) * N ** (2 * cfg.n),
+                                   size + _expansion_need(N, cfg.G, cfg.n)))
     R = rep_matrix(ctx, g).entries
     B = OperatorMatrix(R.conj().T @ A.entries @ R)
     diff = covariant_symbol(ctx, B).reshape()[tuple(map(slice, lo, hi))].copy()

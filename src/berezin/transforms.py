@@ -43,7 +43,8 @@ from functools import lru_cache, reduce
 import numpy as np
 import scipy  # scipy.fft loads on first use
 
-from .core import GridFunction, HermiteState, inner_l2
+from .core import (GridFunction, HermiteState, _expansion_need,
+                   _refuse_over_guard, inner_l2)
 from .schroedinger import (RepresentationContext, _guard_node_route,
                            _hermite_nodes, _interpolation_matrix,
                            _laguerre_factors, _node_table)
@@ -152,10 +153,9 @@ def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
     every axis; the orbit DFT of that is S expanded by FB, the checkerboard
     inverse DFT of B's columns (numpy.fft) times weight^(1/2n) (the
     (-1)^{G/2} factors cancel over the 2n axes, as in _orbit_dft).  That
-    route builds FB only: the Wigner values expand on their first read.  It
-    still refuses up front that expansion beside its input sample's table
-    and FB (_guard_node_route), so it refuses what wigner refuses.  Every
-    other sample takes the n-D FFT of _orbit_dft.
+    route builds FB only, and counts it with its temporaries; the Wigner
+    values expand on their first read.  Every other sample takes the n-D
+    FFT of _orbit_dft.
     """
     if type(F) is not GridFunction:
         raise ValueError("inverse_fourier_orbit takes samples on the phase grid")
@@ -164,8 +164,9 @@ def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
         return OrbitGridFunction(grid=F.grid, values=vals.ravel())
     S, B = F._nodes
     G, N = B.shape
-    _guard_node_route("inverse orbit transform", F.grid, (N + 1) // 2, 0,
-                      F.grid.num_points + G * N)
+    # FB, B * signs and np.fft's complex copy of it, and _from_nodes's |S|
+    _refuse_over_guard("inverse orbit transform", F.grid.num_points,
+                       3 * G * N + S.size)
     signs = _checkerboard(1, G)[:, None]
     FB = np.fft.ifft(B * signs, axis=0, norm="forward")
     FB *= F.weight ** (0.5 / F.grid.n) * signs
@@ -188,10 +189,10 @@ def coefficient_map(ctx: RepresentationContext, f: HermiteState,
     """values_k = (f | pi([a_k, b_k, 0]) phi) over the whole phase grid, any n.
 
     Linear in f and conjugate-linear in phi.  The size guard counts the
-    expansion and the node stage (_map_node_stage); node values that
-    overflow are refused by GridFunction._from_nodes.  The result keeps its
-    node tensor and B for inverse_fourier_orbit and inner_l2, and its
-    values, expanded on their first read, are read-only.
+    node stage (_map_node_stage); node values that overflow are refused by
+    GridFunction._from_nodes.  The result keeps its node tensor and B for
+    inverse_fourier_orbit and inner_l2, and its values, expanded on their
+    first read, are read-only.
     """
     cfg, grid = ctx.cfg, ctx.grid
     if f.dim != cfg.dim or phi.dim != cfg.dim:
@@ -236,20 +237,10 @@ def _map_nodes(f: np.ndarray, phi: np.ndarray, M: int, n: int) -> np.ndarray:
     return X.reshape((N,) * (2 * n))
 
 
-def _guard_wigner(ctx: RepresentationContext) -> None:
-    """Refuse up front the larger of the map's node stage and the Wigner
-    side's node expansion beside the ambiguity table and FB (G x N)."""
-    cfg, grid = ctx.cfg, ctx.grid
-    _guard_node_route("ambiguity and Wigner tables", grid, cfg.M,
-                      _map_node_stage(cfg),
-                      grid.num_points + cfg.G * (2 * cfg.M - 1))
-
-
 def wigner(ctx: RepresentationContext, f: HermiteState,
            phi: HermiteState) -> OrbitGridFunction:
     """Cross-Wigner distribution: the orbit function whose transform is
-    (f|pi(.)phi), refused before the map runs if its inverse would be."""
-    _guard_wigner(ctx)
+    (f|pi(.)phi)."""
     return inverse_fourier_orbit(coefficient_map(ctx, f, phi))
 
 
@@ -260,15 +251,15 @@ def moyal_residual(ctx: RepresentationContext,
 
     Returns (ambiguity-side residual, Wigner-side residual).  Both pairings
     run in node form (inner_l2), so wherever 2M - 1 <= G no table is built.
-    The guard still counts the tables: the second map, or the second
-    inverse with both FB, beside one more table and node tensor.
+    The guard counts one node tensor held beside the second map's stage or
+    beside the Wigner pairing: both FB, inner_l2's conjugate copy of one
+    and their Gram matrix, and the other node tensor expanded by it.
     """
     cfg, grid = ctx.cfg, ctx.grid
-    N = 2 * cfg.M - 1
-    held = grid.num_points + N ** (2 * cfg.n)  # a table and its node tensor
-    _guard_node_route("Moyal residual", grid, cfg.M,
-                      held + _map_node_stage(cfg),
-                      held + grid.num_points + 2 * cfg.G * N)
+    n, G, N = cfg.n, cfg.G, 2 * cfg.M - 1
+    pairing = 3 * G * N + N * N + _expansion_need(N, N, n)
+    _guard_node_route("Moyal residual", grid, cfg.M, N ** (2 * n) + max(
+        _map_node_stage(cfg), pairing))
     target = f1.inner(f2) * np.conj(phi1.inner(phi2))
     A1 = coefficient_map(ctx, f1, phi1)
     A2 = coefficient_map(ctx, f2, phi2)

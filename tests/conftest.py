@@ -5,12 +5,14 @@ import re
 import tracemalloc
 from contextlib import contextmanager
 
-# the node routes' first hermgauss call imports numpy.polynomial; loaded here,
-# that one-time import is not counted in the tracemalloc peak of the routes
+# the node routes' first hermgauss call imports numpy.polynomial, and the
+# node inverse's first FB numpy.fft; loaded here, these one-time imports are
+# not counted in the tracemalloc peak of the routes
+import numpy.fft  # noqa: F401
 import numpy.polynomial  # noqa: F401
 import pytest
 
-from berezin import (ModelConfig, RepresentationContext, default_L,
+from berezin import (ModelConfig, RepresentationContext, core, default_L,
                      schroedinger)
 
 
@@ -50,7 +52,7 @@ def need_and_peak(monkeypatch):
     tracemalloc peak in bytes of call() with the node caches cleared."""
     def measure(call):
         with monkeypatch.context() as mp:
-            mp.setattr(schroedinger, "_TABLE_LIMIT", 0)
+            mp.setattr(core, "_TABLE_LIMIT", 0)
             with pytest.raises(MemoryError) as exc:
                 call()
         need = int(re.search(r"needs (\d+) complex", str(exc.value)).group(1))

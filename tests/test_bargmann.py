@@ -23,6 +23,7 @@ from berezin import core, schroedinger
 from berezin.oracle import (PositionGrid, displacement_element,
                             oracle_matrix_element, table_coefficient_map)
 from berezin.schroedinger import ambiguity_batch
+from berezin.transforms import _map_node_stage
 
 FLOOR = 2.0 ** -511
 EPS = np.finfo(float).eps
@@ -87,11 +88,11 @@ def test_quadrature_guard_names_its_count(monkeypatch):
     Np = PositionGrid.for_config(ctx.cfg).t.size
     need = Np * 4 + 32 * Np * (4 + 2) + 32 * Np + 32 * 32 * 4
     e0 = np.eye(4)[0]
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need - 1)
     with pytest.raises(MemoryError, match="1024 grid points needs %d complex "
                        "entries" % need):
         ambiguity_batch(ctx, np.eye(4), e0)
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need)
     assert ambiguity_batch(ctx, np.eye(4), e0).shape == (32, 32, 4)
 
 
@@ -157,7 +158,7 @@ def test_coefficient_map_needs_no_table(monkeypatch, no_table):
     rng = np.random.default_rng(3)
     f, phi = _random_coeffs(rng, 16), _random_coeffs(rng, 16)
     ref = _quadrature_map(ctx, f, phi)  # over that guard too
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 64 * 64 * 16)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", 64 * 64 * 16)
     with no_table():
         got = coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
     with pytest.raises(MemoryError):
@@ -216,34 +217,42 @@ def test_table_oracle_guard_bounds_its_peak(need_and_peak, n, M, G):
 
 @pytest.mark.parametrize("window", ["vacuum", "general"])
 def test_coefficient_map_guard_bounds_its_peak(guard_ctx, need_and_peak,
-                                               window):
-    # the count bounds the cold-cache peak of the map and its values'
-    # expansion on first read (64 KiB left for small objects) and, wherever
-    # G >= 2M - 1, exceeds it by at most 10 % (measured 0.98-1.05 on
-    # CPython 3.11)
+                                               monkeypatch, window):
+    # the count, the cached node table and B beside the node stage, refuses
+    # one entry under it and bounds the cold-cache peak of the map at it,
+    # which reads no values (64 KiB left for small objects); their first
+    # read is counted on its own
     cfg = guard_ctx.cfg
+    N = 2 * cfg.M - 1
     rng = np.random.default_rng(12)
     f = HermiteState(_random_coeffs(rng, cfg.dim))
     phi = (gaussian_vector(cfg) if window == "vacuum"
            else HermiteState(_random_coeffs(rng, cfg.dim)))
-    need, peak = need_and_peak(
-        lambda: coefficient_map(guard_ctx, f, phi).values)
+    need = 2 * cfg.M * N * N + cfg.G * N + _map_node_stage(cfg)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need - 1)
+    with pytest.raises(MemoryError, match="coefficient map"):
+        coefficient_map(guard_ctx, f, phi)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need)  # the traced call's
+    counted, peak = need_and_peak(lambda: coefficient_map(guard_ctx, f, phi))
+    assert counted == need
     assert peak <= 16 * need + 65536
-    if cfg.G >= 2 * cfg.M - 1:
-        assert 16 * need <= 1.10 * peak
 
 
 def test_coefficient_map_guard_counts_its_working_set(monkeypatch):
-    # n = 2, M = 3, G = 24: the last expansion step is the largest term;
-    # refused one entry under its count, served at it
+    # n = 2, M = 3, G = 24: the map counts the cached tables and its node
+    # stage, 2620 entries; its values count the last expansion step,
+    # 401521, on their first read; each is refused one entry under its
+    # count and served at it
     ctx = _ctx(1.0, 3, 24, n=2)
-    need = 401791
     vac = gaussian_vector(ctx.cfg)
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
-    with pytest.raises(MemoryError, match="331776 grid points needs %d" % need):
-        coefficient_map(ctx, vac, vac)
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
-    assert coefficient_map(ctx, vac, vac).values.size == 24 ** 4
+    for need, route in ((2620, lambda: coefficient_map(ctx, vac, vac)),
+                        (401521, coefficient_map(ctx, vac, vac).reshape)):
+        monkeypatch.setattr(core, "_TABLE_LIMIT", need - 1)
+        with pytest.raises(MemoryError, match="331776 grid points needs %d "
+                           "complex entries" % need):
+            route()
+        monkeypatch.setattr(core, "_TABLE_LIMIT", need)
+        route()
 
 
 def test_coefficient_map_guard_counts_the_node_stage(monkeypatch):
@@ -252,10 +261,10 @@ def test_coefficient_map_guard_counts_the_node_stage(monkeypatch):
         n=2, lam=1.0, M=10, L=5.0, G=4, tol_identity=1e-6, tol_quadrature=0.9))
     need = 320894
     f = HermiteState(_random_coeffs(np.random.default_rng(6), 100))
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need - 1)
     with pytest.raises(MemoryError, match="256 grid points needs %d" % need):
         coefficient_map(ctx, f, f)
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need)
     assert coefficient_map(ctx, f, f).values.size == 4 ** 4
 
 
@@ -316,11 +325,11 @@ def test_n2_table_guard_counts_its_working_set(monkeypatch):
     ctx = _ctx(1.0, 3, 24, n=2)
     entries = ctx.grid.num_points * ctx.cfg.dim
     need = entries + entries // 24
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need - 1)
     with pytest.raises(MemoryError, match="331776 grid points needs %d "
                        "complex entries" % need):
         ctx.coherent_table()
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need)
     tracemalloc.start()
     try:
         C = ctx.coherent_table()

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import berezin
-from berezin import (ConfigError, ModelConfig, cli, default_config,
-                     schroedinger)
+from berezin import ConfigError, ModelConfig, cli, core, default_config
 from berezin.cli import main
+from berezin.transforms import _map_node_stage
 from berezin.io import load_config, read_grid_csv, save_config, \
     write_operator_csv, write_state_csv
 
@@ -378,10 +378,11 @@ def test_seed_is_a_verify_flag_only(paths, command, extra, capsys):
 
 def test_symbol_n2_beyond_symbol_guard_exits_2(paths, capsys, monkeypatch):
     # the symbol builds no coherent table, so M = 6, G = 22 (a table of
-    # 8433216 complex entries) is served; its own bound is the last
-    # expansion step beside the cached node table and B: G = 60 needs
-    # 15352753 <= 2^24 and is served, G = 62 needs 17414719 and is refused
-    # before anything is built (G = 60 is not run: its CSV is 1.6 GB)
+    # 8433216 complex entries) is served; its values' bound is the last
+    # expansion step, counted on their first read, where the CSV writer
+    # reads them before it opens the file: G = 60 needs 15350641 <= 2^24
+    # and is served, G = 62 needs 17412585, and exits 2 with no file
+    # written (G = 60 is not run: its CSV is 1.6 GB)
     op_path = paths["root"] / "n2_identity.csv"
     write_operator_csv(op_path, np.eye(36, dtype=complex))
 
@@ -396,11 +397,13 @@ def test_symbol_n2_beyond_symbol_guard_exits_2(paths, capsys, monkeypatch):
 
     assert run(22) == 0 and run(62) == 2
     err = capsys.readouterr().err
-    assert "14776336 grid points needs 17414719" in err
+    assert "node expansion on 14776336 grid points needs 17412585" in err
     assert "size guard of 16777216" in err
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 0)
+    assert os.listdir(paths["root"] / "out_n2_G62") == []
+    monkeypatch.setattr(core, "_TABLE_LIMIT", 15350640)
     assert run(60) == 2
-    assert "12960000 grid points needs 15352753" in capsys.readouterr().err
+    assert "12960000 grid points needs 15350641" in capsys.readouterr().err
+    assert os.listdir(paths["root"] / "out_n2_G60") == []
     _, vals = read_grid_csv(paths["root"] / "out_n2_G22" / "berezin_symbol.csv")
     assert vals.size == 22 ** 4 and vals.real.max() < 1.0 + 1e-12
 
@@ -419,11 +422,10 @@ def test_unknown_subcommand_exits_2(paths):
 
 
 def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
-    # at G = 16 the largest term is the Wigner side's first expansion step:
-    # the node tensor, its grid-order copy and the step's output, N = 2M - 1
-    # > G, beside the ambiguity table, FB and the cached node table and B:
-    # 18381912 complex entries at M = 27, over 2^24, refused before anything
-    # is allocated; M = 26 needs 15855238 and runs
+    # at G = 16 the coefficient map's node stage, the last Laguerre step
+    # beside the cached node table and B, is refused up front: 18152371
+    # complex entries at M = 27, over 2^24; M = 26 needs 15578594 and
+    # runs, its values' expansion (15652818) served on their first read
     codes = {}
     for M in (26, 27):
         cfg = ModelConfig(n=2, lam=1.0, M=M, L=28.0, G=16, tol_identity=1e-6,
@@ -437,40 +439,50 @@ def test_wigner_n2_beyond_working_set_guard_exits_2(paths, capsys):
                          "--out", str(paths["root"] / ("out_n2_M%d" % M))])
     assert codes == {26: 0, 27: 2}
     err = capsys.readouterr().err
-    assert "needs 18381912" in err and "size guard of 16777216" in err
+    assert "coefficient map on 65536 grid points needs 18152371" in err
+    assert "size guard of 16777216" in err
     _, vals = read_grid_csv(paths["root"] / "out_n2_M26" / "ambiguity.csv")
     assert vals.size == 16 ** 4 and np.abs(vals).max() < 1.0 + 1e-12
 
-def test_wigner_guard_counts_both_tables(paths, capsys, monkeypatch):
-    # the ambiguity table and its node tensor stay while the Wigner table is
-    # expanded beside them by FB: at n = 1, M = 2, G = 64 the two tables,
-    # the last step's input, FB, B and the node table, 8813 entries
+
+def test_wigner_refuses_its_tables_on_the_expansion_count(paths, capsys,
+                                                          monkeypatch):
+    # both tables expand by the same count, the ambiguity table first, in
+    # the writer before it opens its file: at n = 1, M = 2, G = 64 the
+    # last step's node tensor, input and output, 4297 entries; one under
+    # it the command exits 2 and writes no file, at it both tables
     cfg_path = paths["root"] / "cfg_M2_G64.json"
     save_config(cfg_path, default_config(lam=1.0, M=2, G=64))
     state_path = paths["root"] / "M2_state.csv"
     write_state_csv(state_path, np.array([0.6, 0.8j]))
-    need = 8813
+    need = 4297
     codes = {}
     for limit in (need - 1, need):
-        monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", limit)
+        monkeypatch.setattr(core, "_TABLE_LIMIT", limit)
         out = paths["root"] / ("out_wigner_limit_%d" % limit)
         codes[limit] = main(["wigner", "--config", str(cfg_path), "--state",
                              str(state_path), "--out", str(out)])
-        assert os.path.isfile(out / "wigner.csv") == (limit == need)
+        written = sorted(os.listdir(out))
+        assert written == ([] if limit < need else [
+            "ambiguity.csv", "ambiguity.csv.manifest.json",
+            "wigner.csv", "wigner.csv.manifest.json", "wigner_manifest.json"])
     assert codes == {need - 1: 2, need: 0}
-    assert ("ambiguity and Wigner tables on 4096 grid points needs 8813 "
-            "complex entries, over the size guard of 8812"
-            in capsys.readouterr().err)
+    assert ("node expansion on 4096 grid points needs 4297 complex entries, "
+            "over the size guard of 4296" in capsys.readouterr().err)
 
 
 def test_wigner_guard_bounds_its_peak(guard_ctx, need_and_peak, tmp_path,
                                       monkeypatch):
-    # the count bounds the command's cold-cache peak (64 KiB left for small
-    # objects) and, wherever G >= 2M - 1, exceeds it by at most 10 %
-    # (measured 0.98-1.08 on CPython 3.11); the CSV writer, which holds one
-    # block of at most _BLOCK_ROWS rows and no grid-sized array, is replaced
-    # by a stub that writes nothing but reads the values
+    # the command's cold-cache peak (64 KiB left for small objects) is
+    # bounded by the cached node table and B, FB and its temporaries,
+    # beside the larger of the map's node stage and one expansion; the
+    # ambiguity table is dropped before the Wigner table expands.  The CSV
+    # writer, which holds one block of at most _BLOCK_ROWS rows and no
+    # grid-sized array, is replaced by a stub that writes nothing but reads
+    # the values; the count that refuses first is the map's
     cfg = guard_ctx.cfg
+    n, M, G = cfg.n, cfg.M, cfg.G
+    N = 2 * M - 1
     state_path = tmp_path / "state.csv"
     v = np.random.default_rng(14).standard_normal((2, cfg.dim))
     write_state_csv(state_path, (v[0] + 1j * v[1]) / np.linalg.norm(v))
@@ -483,15 +495,17 @@ def test_wigner_guard_bounds_its_peak(guard_ctx, need_and_peak, tmp_path,
     args = argparse.Namespace(command="wigner", state=str(state_path),
                               out=str(tmp_path), json=False)
     need, peak = need_and_peak(lambda: cli.cmd_wigner(cfg, args))
-    assert peak <= 16 * need + 65536
-    if cfg.G >= 2 * cfg.M - 1:
-        assert 16 * need <= 1.10 * peak
+    cached = 2 * M * N * N + G * N
+    assert need == cached + _map_node_stage(cfg)
+    bound = cached + 3 * G * N + max(_map_node_stage(cfg),
+                                     core._expansion_need(N, G, n))
+    assert peak <= 16 * bound + 65536
 
 
-def test_wigner_beyond_both_tables_guard_exits_2(paths, capsys, monkeypatch):
-    # n = 1, M = 16: G = 2872 needs 16795577 and is refused up front, before
-    # the map is computed; G = 2870 needs 16772423 <= 2^24 (not run: its
-    # CSVs are 0.6 GB)
+def test_wigner_beyond_the_expansion_guard_exits_2(paths, capsys, monkeypatch):
+    # n = 1, M = 16: G = 4082 needs 16790227 and is refused on the first
+    # read, before any file is opened; G = 4080 needs 16773841 <= 2^24 (not
+    # run: its CSVs are 1.3 GB)
     state_path = paths["root"] / "M16_state.csv"
     write_state_csv(state_path, np.eye(16, dtype=complex)[0])
 
@@ -502,32 +516,42 @@ def test_wigner_beyond_both_tables_guard_exits_2(paths, capsys, monkeypatch):
                      str(state_path), "--out",
                      str(paths["root"] / ("out_G%d" % G))])
 
-    assert run(2872) == 2
-    assert ("8248384 grid points needs 16795577 complex entries, over the "
+    assert run(4082) == 2
+    assert ("16662724 grid points needs 16790227 complex entries, over the "
             "size guard of 16777216" in capsys.readouterr().err)
-    assert not os.path.exists(paths["root"] / "out_G2872" / "ambiguity.csv")
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 0)
-    assert run(2870) == 2
-    assert ("8236900 grid points needs 16772423 complex entries"
+    assert os.listdir(paths["root"] / "out_G4082") == []
+    monkeypatch.setattr(core, "_TABLE_LIMIT", 16773840)
+    assert run(4080) == 2
+    assert ("16646400 grid points needs 16773841 complex entries"
             in capsys.readouterr().err)
 
 
 def test_wigner_refuses_the_count_of_the_library_inverse(paths, capsys):
-    # n = 2, M = 5, G = 56: the command counts the inverse's expansion beside
-    # the ambiguity table and FB, as inverse_fourier_orbit does, and exits 2
-    # before the map runs
-    cfg_path = paths["root"] / "cfg_n2_G56.json"
-    save_config(cfg_path, default_config(n=2, M=5, G=56))
+    # n = 2, M = 5, G = 64: the command exits 2 at its first read, before
+    # any file is opened, and the library's Wigner table, served in node
+    # form, refuses the same count when its values are read; G = 56, which
+    # both refused before, is served (not run: its CSVs are 1 GB)
+    cfg = default_config(n=2, M=5, G=64)
+    cfg_path = paths["root"] / "cfg_n2_G64.json"
+    save_config(cfg_path, cfg)
     state_path = paths["root"] / "n2_state.csv"
     write_state_csv(state_path, np.eye(25, dtype=complex)[1])
-    out = paths["root"] / "out_n2_G56"
+    out = paths["root"] / "out_n2_G64"
     start = time.perf_counter()
     assert main(["wigner", "--config", str(cfg_path), "--state",
                  str(state_path), "--out", str(out)]) == 2
     assert time.perf_counter() - start < 5.0
-    assert ("ambiguity and Wigner tables on 9834496 grid points needs "
-            "21257915 complex entries" in capsys.readouterr().err)
-    assert not os.path.exists(out / "ambiguity.csv")
+    count = ("node expansion on 16777216 grid points needs 19143073 complex "
+             "entries")
+    assert count in capsys.readouterr().err
+    assert os.listdir(out) == []
+    ctx = berezin.RepresentationContext(cfg)
+    wig = berezin.wigner(ctx, berezin.basis_state(25, 1),
+                         berezin.gaussian_vector(cfg))
+    with pytest.raises(MemoryError, match=count):
+        wig.values
+    assert core._expansion_need(9, 56, 2) <= core._TABLE_LIMIT
+
 
 
 def test_report_sweep_beyond_svd_guard_exits_2_up_front(paths, capsys):

@@ -14,7 +14,7 @@ from berezin import (HeisenbergElement, OperatorMatrix, PhasePoint,
                      hs_inner, identity_operator, injectivity_report,
                      inner_l2, kernel, onb_expansion_check, rank_one,
                      reconstruct, run_verification, trace_identity_residual)
-from berezin import schroedinger, symbols
+from berezin import core, schroedinger, symbols
 from berezin.core import GridFunction, ModelConfig, _expand_nodes
 from berezin.oracle import (analytic_singular_values, table_covariant_symbol,
                             table_frame_operator, table_symbol_map)
@@ -357,7 +357,7 @@ def test_covariance_refuses_its_count_over_the_guard(monkeypatch, ctx):
     # residual: + 2 * 3906 window entries + 2 * 16^2 operator entries
     h = ctx.grid.h
     g = HeisenbergElement([3 * h], [-2 * h])
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", 56033)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", 56033)
     covariant_symbol(ctx, identity_operator(16))
     with pytest.raises(MemoryError, match="covariance residual on 16384 "
                        "grid points needs 64357 complex entries"):
@@ -679,46 +679,59 @@ def test_in_place_node_stage_is_bit_identical(n, M, G):
     assert np.array_equal(covariant_symbol(cx, A).values, ref.reshape(-1))
 
 
-def test_covariant_symbol_guard_bounds_its_peak(guard_ctx, need_and_peak):
-    # the count bounds the cold-cache peak of the symbol and its values'
-    # expansion on first read (64 KiB left for small objects) and, wherever
-    # G >= 2M - 1, exceeds it by at most 10 % (measured 1.00-1.06 on
-    # CPython 3.11)
+def test_covariant_symbol_guard_bounds_its_peak(guard_ctx, need_and_peak,
+                                                monkeypatch):
+    # the count, the cached node table and B beside the last node step,
+    # refuses one entry under it and bounds the cold-cache peak of the
+    # symbol at it, which reads no values (64 KiB left for small objects);
+    # their first read is counted on its own
     cfg = guard_ctx.cfg
+    M, N = cfg.M, 2 * cfg.M - 1
     rng = np.random.default_rng(13)
     A = OperatorMatrix(rng.standard_normal((cfg.dim, cfg.dim))
                        + 1j * rng.standard_normal((cfg.dim, cfg.dim)))
-    need, peak = need_and_peak(
-        lambda: covariant_symbol(guard_ctx, A).values)
+    need = 2 * M * N * N + cfg.G * N + (M + 1) * N ** (2 * cfg.n)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need - 1)
+    with pytest.raises(MemoryError, match="covariant symbol"):
+        covariant_symbol(guard_ctx, A)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need)  # the traced call's
+    counted, peak = need_and_peak(lambda: covariant_symbol(guard_ctx, A))
+    assert counted == need
     assert peak <= 16 * need + 65536
-    if cfg.G >= 2 * cfg.M - 1:
-        assert 16 * need <= 1.10 * peak
 
 
 def test_covariant_symbol_refuses_output_over_guard(monkeypatch):
-    # n = 1, M = 2, G = 128: the last expansion step, input and output, is
-    # the largest term; refused one entry under its count, served at it
+    # n = 1, M = 2, G = 128: the symbol counts 447 entries, its values the
+    # last expansion step, input and output, 16777, on their first read;
+    # refused one entry under that count, served at it
     cx = RepresentationContext(default_config(lam=1.0, M=2, G=128))
-    need = 17197
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
-    with pytest.raises(MemoryError, match="16384 grid points needs 17197"):
+    need = 16777
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need - 1)
+    S = covariant_symbol(cx, identity_operator(2))
+    with pytest.raises(MemoryError, match="node expansion on 16384 grid "
+                       "points needs 16777"):
+        S.values
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need)
+    assert S.values.size == 128 ** 2
+    monkeypatch.setattr(core, "_TABLE_LIMIT", 446)
+    with pytest.raises(MemoryError, match="symbol on 16384 grid points "
+                       "needs 447 "):
         covariant_symbol(cx, identity_operator(2))
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
-    assert covariant_symbol(cx, identity_operator(2)).values.size == 128 ** 2
 
 
 def test_n2_covariant_symbol_guard_counts_the_expansion(monkeypatch):
-    # n = 2, M = 5, G = 40: the last expansion step is the largest term
+    # n = 2, M = 5, G = 40: the last expansion step, on the first read
     cx = RepresentationContext(default_config(n=2, lam=1.0, M=5, G=40))
-    need = 3143731
+    need = 3142561
     A = identity_operator(25)
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need - 1)
-    with pytest.raises(MemoryError, match="2560000 grid points needs 3143731"):
-        covariant_symbol(cx, A)
-    monkeypatch.setattr(schroedinger, "_TABLE_LIMIT", need)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need - 1)
+    with pytest.raises(MemoryError, match="2560000 grid points needs 3142561"):
+        covariant_symbol(cx, A).values
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need)
     tracemalloc.start()
     try:
         S = covariant_symbol(cx, A)
+        S.values
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -13,11 +13,12 @@ from berezin import (GridFunction, HermiteState, ModelConfig, OperatorMatrix,
                      coefficient_map, core, covariant_symbol, default_L,
                      default_config, fourier_orbit, gaussian_vector,
                      identity_operator, inner_l2, inverse_fourier_orbit,
-                     moyal_residual, orbit_inner, wigner)
+                     moyal_residual, orbit_inner, trace_identity_residual,
+                     wigner)
 from berezin.core import _expand_nodes
 from berezin.oracle import oracle_double_sum_ft
 from berezin.schroedinger import ambiguity_batch
-from berezin.transforms import OrbitGridFunction, _guard_wigner, _orbit_dft
+from berezin.transforms import OrbitGridFunction, _orbit_dft
 
 
 @pytest.fixture(scope="module")
@@ -614,39 +615,83 @@ def test_node_route_samples_are_not_scanned(ctx, monkeypatch):
     assert sizes == [points] * 3
 
 
-def test_wigner_refuses_the_node_inverse_over_the_guard():
-    # n = 2, M = 5, G = 56: berezin wigner refused (21257915 entries) while
-    # wigner ran to a 326 MiB tracemalloc peak, 1.27x the guard; now wigner
-    # refuses that count before the map runs, and the inverse of a map
-    # refuses it before it builds FB; G = 52 is served
+def test_wigner_defers_its_expansion_to_the_first_read():
+    # n = 2, M = 5, G = 64: the map, its inverse and wigner are served in
+    # node form, and both tables refuse their values' expansion, 19143073
+    # entries, on the first read, leaving the samples in node form; G = 56
+    # (11421601), which wigner refused before the map ran, is served
     vac = gaussian_vector(default_config(n=2, M=5))
-    cx = RepresentationContext(default_config(n=2, M=5, G=56))
-    count = "on 9834496 grid points needs 21257915 complex entries"
-    with pytest.raises(MemoryError, match="Wigner tables " + count):
-        wigner(cx, basis_state(25, 1), vac)
+    cx = RepresentationContext(default_config(n=2, M=5, G=64))
     amb = coefficient_map(cx, basis_state(25, 1), vac)
-    with pytest.raises(MemoryError, match="inverse orbit transform " + count):
-        inverse_fourier_orbit(amb)
-    del amb
-    cx = RepresentationContext(default_config(n=2, M=5, G=52))
-    assert wigner(cx, basis_state(25, 1), vac).values.size == 52 ** 4
+    count = ("node expansion on 16777216 grid points needs 19143073 complex "
+             "entries, over the size guard of 16777216")
+    for sample in (amb, inverse_fourier_orbit(amb),
+                   wigner(cx, basis_state(25, 1), vac)):
+        with pytest.raises(MemoryError, match=count):
+            sample.values
+        assert "values" not in vars(sample)
+        assert abs(sample.norm() - 1.0) < 1e-13
+    assert core._expansion_need(9, 56, 2) == 11421601 <= core._TABLE_LIMIT
 
 
-def test_node_inverse_guard_bounds_its_peak(guard_ctx, need_and_peak):
-    # the count holds the input sample, so that is made outside the traced
-    # call and added to its peak (64 KiB left for small objects)
+def test_node_inverse_guard_bounds_its_peak(guard_ctx, need_and_peak,
+                                            monkeypatch):
+    # the inverse counts FB with its temporaries and the modulus of S its
+    # bound reads, and reads no values; refused one entry under its count,
+    # traced at it; the input sample is made outside the traced call (64
+    # KiB left for small objects)
     cfg = guard_ctx.cfg
+    G, N = cfg.G, 2 * cfg.M - 1
     f = _random_state(np.random.default_rng(15), cfg.dim)
     amb = coefficient_map(guard_ctx, f, gaussian_vector(cfg))
-    need, peak = need_and_peak(lambda: inverse_fourier_orbit(amb))
-    assert peak + amb.values.nbytes <= 16 * need + 65536
+    need = 3 * G * N + N ** (2 * cfg.n)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need - 1)
+    with pytest.raises(MemoryError, match="inverse orbit transform"):
+        inverse_fourier_orbit(amb)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need)  # the traced call's
+    counted, peak = need_and_peak(lambda: inverse_fourier_orbit(amb))
+    assert counted == need
+    assert peak <= 16 * need + 65536
+    assert "values" not in vars(amb)
+
+
+@pytest.mark.parametrize("route", ["map", "Wigner", "symbol"])
+def test_first_read_is_bounded_by_the_expansion_count(guard_ctx, need_and_peak,
+                                                       monkeypatch, route):
+    # a node-route sample's values are counted where they are expanded, on
+    # their first read: refused one entry under the count, served at it,
+    # the count bounds the peak of that read (64 KiB left for small
+    # objects) and, wherever G >= 2M - 1, exceeds it by at most 10 %
+    # (measured 0.96-1.00 on CPython 3.11); where 2M - 1 > G, as at
+    # (2, 10, 4), (1, 24, 8) and (3, 4, 4), inner_l2 reads these values
+    cfg = guard_ctx.cfg
+    n, G, N = cfg.n, cfg.G, 2 * cfg.M - 1
+    rng = np.random.default_rng(16)
+    f = _random_state(rng, cfg.dim)
+    if route == "symbol":
+        sample = covariant_symbol(guard_ctx, OperatorMatrix(np.outer(
+            f.coeffs, f.coeffs.conj())))
+    else:
+        sample = coefficient_map(guard_ctx, f, _random_state(rng, cfg.dim))
+        if route == "Wigner":
+            sample = inverse_fourier_orbit(sample)
+    need = core._expansion_need(N, G, n)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need - 1)
+    with pytest.raises(MemoryError, match="node expansion"):
+        sample.values
+    monkeypatch.setattr(core, "_TABLE_LIMIT", need)  # the traced read's
+    counted, peak = need_and_peak(lambda: sample.values)
+    assert counted == need
+    assert peak <= 16 * need + 65536
+    if G >= N:
+        assert 16 * need <= 1.10 * peak
 
 
 def test_moyal_residual_guard_bounds_its_peak(guard_ctx, need_and_peak):
-    # the count holds both ambiguity tables, then one of them and both
-    # Wigner tables, with their node tensors and FB (64 KiB left for small
-    # objects); it held all four tables, 165.3 MiB at n = 2, (5, 40),
-    # against the 87.0 MiB count of wigner, the largest it checked
+    # the count holds one node tensor beside the second map's node stage or
+    # the Wigner pairing (64 KiB left for small objects); where 2M - 1 > G
+    # inner_l2 reads the values instead, each counted on its read, and the
+    # peak stays within the count too
     cfg = guard_ctx.cfg
     rng = np.random.default_rng(17)
     f1, p1, f2, p2 = (_random_state(rng, cfg.dim) for _ in range(4))
@@ -655,15 +700,60 @@ def test_moyal_residual_guard_bounds_its_peak(guard_ctx, need_and_peak):
     assert peak <= 16 * need + 65536
 
 
-def test_moyal_residual_refuses_its_count_over_the_guard():
-    # n = 2, M = 5, G = 48: wigner's count (11620395) is served, the Moyal
-    # residual's two tables beside the second route's are not
-    cx = RepresentationContext(default_config(n=2, M=5, G=48))
+def test_moyal_residual_refuses_its_count_over_the_guard(monkeypatch):
+    # n = 2, M = 5, G = 64: one node tensor beside the second map's node
+    # stage, with the cached tables, 30789 entries; refused one under it
+    # and served at it, where neither table's values could be read
+    cx = RepresentationContext(default_config(n=2, M=5, G=64))
     vac = gaussian_vector(cx.cfg)
-    with pytest.raises(MemoryError, match="Moyal residual on 5308416 grid "
-                       "points needs 16935804 complex entries"):
-        moyal_residual(cx, basis_state(25, 1), vac, basis_state(25, 2), vac)
-    _guard_wigner(cx)
+    args = cx, basis_state(25, 1), vac, basis_state(25, 2), vac
+    monkeypatch.setattr(core, "_TABLE_LIMIT", 30788)
+    with pytest.raises(MemoryError, match="Moyal residual on 16777216 grid "
+                       "points needs 30789 complex entries"):
+        moyal_residual(*args)
+    monkeypatch.setattr(core, "_TABLE_LIMIT", 30789)
+    assert max(moyal_residual(*args)) < 1e-12
+
+
+@pytest.mark.parametrize("M, G", [(3, 24), (4, 32)])
+def test_n3_trace_and_moyal_residuals_are_served(M, G):
+    # n = 3: no route expands a table of G^6 values, so both residuals
+    # run in node form, within the battery's bounds (measured 1.7e-9 and
+    # 1.2e-7 at (3, 24), 7.6e-13 and 1.5e-10 at (4, 32), in 4-20 ms); the
+    # symbol's values are refused on their first read
+    cx = RepresentationContext(default_config(n=3, M=M, G=G))
+    rng = np.random.default_rng(90)
+    E = rng.standard_normal((2, cx.cfg.dim, cx.cfg.dim))
+    A = OperatorMatrix((E[0] + 1j * E[1]) / np.linalg.norm(E))
+    assert trace_identity_residual(cx, A) < 1e-6
+    f1, p1, f2, p2 = (_random_state(rng, cx.cfg.dim) for _ in range(4))
+    assert max(moyal_residual(cx, f1, p1, f2, p2)) < 1e-6
+    points = G ** 6
+    need = core._expansion_need(2 * M - 1, G, 3)
+    with pytest.raises(MemoryError, match="node expansion on %d grid points "
+                       "needs %d complex entries" % (points, need)):
+        covariant_symbol(cx, A).values
+
+
+def test_refused_read_leaves_the_sample_in_node_form(monkeypatch):
+    # n = 3, (3, 24): 191102976 grid points, refused; the sample still
+    # pairs in node form.  n = 2, (3, 24), under a lowered guard: a later
+    # read under the raised guard returns the bits of _expand_nodes
+    cx = RepresentationContext(default_config(n=3, M=3, G=24))
+    S = covariant_symbol(cx, identity_operator(27))
+    with pytest.raises(MemoryError, match="191102976 grid points needs "
+                       "230931721 complex entries"):
+        S.values
+    assert "values" not in vars(S) and S.norm() > 0
+    cx = RepresentationContext(default_config(n=2, M=3, G=24))
+    A = coefficient_map(cx, basis_state(9, 1), gaussian_vector(cx.cfg))
+    norm = A.norm()
+    monkeypatch.setattr(core, "_TABLE_LIMIT", 401520)
+    with pytest.raises(MemoryError, match="needs 401521 complex entries"):
+        A.reshape()
+    assert "values" not in vars(A) and A.norm() == norm
+    monkeypatch.setattr(core, "_TABLE_LIMIT", 401521)
+    assert np.array_equal(A.values, _expand_nodes(*A._nodes, 2).reshape(-1))
 
 
 # (n, lam, M, G) of the node-form pairing tests
