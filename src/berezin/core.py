@@ -372,14 +372,21 @@ class GridFunction:
                     F: np.ndarray) -> "GridFunction":
         """The sample of this class with _nodes (S, F), S made read-only.
 
-        Each value, and each of its partial sums, is at most max|S|
-        ||F||^{2n} in modulus, ||F|| the largest absolute row sum of F.
-        Unless that bound lies below half the largest float (nan and inf
-        fail the test), ValueError("non-finite values"), as __post_init__
-        raises; so the G^{2n} values are never scanned.
+        With s the largest real or imaginary part of S in modulus, read from
+        the extremes of its float view (no temporary the size of S), and
+        ||F|| the largest absolute row sum of F: a real F expands the real
+        and imaginary parts apart, so each part of a value, and of its
+        partial sums, is at most s ||F||^{2n}; a complex F mixes them, and
+        each value is at most sqrt(2) s ||F||^{2n} in modulus.  Unless that
+        bound lies below half the largest float (nan and inf fail the
+        test), ValueError("non-finite values"), as __post_init__ raises; so
+        the G^{2n} values are never scanned.
         """
+        x = S.view(float) if np.iscomplexobj(S) else S
+        scale = np.sqrt(2.0) if np.iscomplexobj(F) else 1.0
         with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused
-            bound = np.abs(S).max() * np.linalg.norm(F, np.inf) ** (2 * grid.n)
+            bound = (np.maximum(-x.min(), x.max()) * scale
+                     * np.linalg.norm(F, np.inf) ** (2 * grid.n))
         if not bound < _FLOAT_MAX / 2:
             raise ValueError("non-finite values")
         S.flags.writeable = False

@@ -1,11 +1,14 @@
 """Independent brute-force reference implementations for validation.
 
 Everything here exists to cross-check the fast paths and deliberately shares no
-quadrature code with them: basis functions come from scipy.special.eval_hermite
-instead of the in-package recurrence, integrals use Gauss-Hermite nodes or
-one Riemann sum on PositionGrid (riemann_sum, behind both
-oracle_matrix_element and schroedinger.ambiguity_batch), and Fourier
-transforms are literal dense sums.
+quadrature code with them: basis functions come from _eval_hermite, a numpy
+port of the backward polynomial recurrence of scipy.special.eval_hermite
+(bit-identical to it), instead of the in-package weighted recurrence,
+integrals use Gauss-Hermite nodes or one Riemann sum on PositionGrid
+(riemann_sum, behind both oracle_matrix_element and
+schroedinger.ambiguity_batch), and Fourier transforms are literal dense
+sums.  So the battery's oracles run on numpy alone; only
+analytic_singular_values loads scipy.special.
 The covariant symbol, frame operator and symbol-map SVD, which the main path
 takes from Gauss-Hermite node samples, are read here off the coherent table,
 one grid point per row; the coefficient map off displacement_1d; the
@@ -21,14 +24,14 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-import scipy  # scipy.special loads on the first oracle call
+import scipy  # scipy.special loads on analytic_singular_values's first call
 
 from .core import (GridFunction, HermiteState, ModelConfig, OperatorMatrix,
                    _refuse_over_guard)
 from .heisenberg import HeisenbergElement
 from .schroedinger import RepresentationContext, displacement_1d
 
-_MAX_MODE = 64  # eval_hermite values stay inside float64 range up to here
+_MAX_MODE = 64  # _eval_hermite values stay inside float64 range up to here
 _GH_ORDER = 180  # nodes of gauss_hermite_matrix_element's rule
 _MAP_LIMIT = 2 ** 26  # max complex entries of table_symbol_map's working set
 
@@ -61,13 +64,30 @@ class PositionGrid:
         return PositionGrid(t=s * np.arange(-K, K + 1), s=s, R=K * s)
 
 
+def _eval_hermite(m: int, y: np.ndarray) -> np.ndarray:
+    """Physicists' Hermite polynomial H_m(y) = 2^{m/2} He_m(sqrt(2) y), He_m
+    by the backward three-term loop over k = m..2 that
+    scipy.special.eval_hermite runs, in the same order of operations, so the
+    values are bit-identical to it (nan inputs aside).  Values past the
+    largest float come out inf or nan, as there, without a warning."""
+    x = np.sqrt(2.0) * np.asarray(y, dtype=float)
+    if m == 0:
+        return np.ones_like(x)
+    y3, y2 = np.zeros_like(x), np.ones_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(m, 1, -1):
+            y3, y2 = y2, x * y2 - k * y3
+        return (x * y2 - y3) * 2.0 ** (m / 2)
+
+
 def hermite_basis_value(lam: float, m: int, t: np.ndarray) -> np.ndarray:
-    """e_m(t) via scipy's physicists' Hermite polynomial, explicit normalization."""
+    """e_m(t) via the physicists' Hermite polynomial (_eval_hermite),
+    explicit normalization."""
     if m > _MAX_MODE:
         raise ValueError("mode index beyond oracle overflow guard")
     y = np.sqrt(lam) * np.asarray(t, dtype=float)
     norm = lam ** 0.25 / np.sqrt(2.0 ** m * factorial(m) * np.sqrt(np.pi))
-    return norm * scipy.special.eval_hermite(m, y) * np.exp(-y * y / 2.0)
+    return norm * _eval_hermite(m, y) * np.exp(-y * y / 2.0)
 
 
 def synthesize(coeffs: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
@@ -164,8 +184,8 @@ def gauss_hermite_matrix_element(cfg: ModelConfig, g: HeisenbergElement,
     atil = np.sqrt(lam) * a
     nj = 1.0 / np.sqrt(2.0 ** j * factorial(j) * np.sqrt(np.pi))
     nk = 1.0 / np.sqrt(2.0 ** k * factorial(k) * np.sqrt(np.pi))
-    vals = (scipy.special.eval_hermite(j, u + atil / 2.0)
-            * scipy.special.eval_hermite(k, u - atil / 2.0)
+    vals = (_eval_hermite(j, u + atil / 2.0)
+            * _eval_hermite(k, u - atil / 2.0)
             * np.exp(-1j * np.sqrt(lam) * b * (u + atil / 2.0)))
     integral = np.sum(w * vals)
     return complex(np.exp(1j * lam * (c + 0.5 * a * b))

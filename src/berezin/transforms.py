@@ -27,21 +27,21 @@ interpolation matrix B (values = S expanded by B on every axis, read-only);
 the DFT of that is S expanded by the DFT'd factor, so the inverse is that
 factor, one 1-D inverse FFT by numpy.fft, and the same S
 (inverse_fourier_orbit).  Every other sample, and the forward transform,
-takes _orbit_dft's n-D FFT by scipy.fft, which is also the node route's
-oracle in the tests; so the node route runs on numpy alone, and scipy.fft
-loads on the first _orbit_dft call.  Node-route samples, the Wigner table
-among them, are shown finite by a bound on S and the factor
-(GridFunction._from_nodes) and expand their values, one matmul per axis,
-only on their first read; inner_l2, and so the norms and moyal_residual,
-pair them in node form without reading them.  Every other sample's values
-are scanned (core._require_finite).
+takes _orbit_dft's n-D FFT, which is also the node route's oracle in the
+tests.  Both routes run on numpy alone: _orbit_dft runs numpy.fft's n-D
+transform in place (out=, numpy >= 2.0), so it holds one grid-sized array
+beside its input.  Node-route samples, the Wigner table among them, are
+shown finite by a bound on S and the factor (GridFunction._from_nodes) and
+expand their values, one matmul per axis, only on their first read;
+inner_l2, and so the norms and moyal_residual, pair them in node form
+without reading them.  Every other sample's values are scanned
+(core._require_finite).
 """
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 
 import numpy as np
-import scipy  # scipy.fft loads on first use
 
 from .core import (GridFunction, HermiteState, _expansion_need,
                    _refuse_over_guard, inner_l2)
@@ -116,18 +116,18 @@ def _orbit_dft(vals: np.ndarray, sign: int, weight: float) -> np.ndarray:
     checkerboards.  The checkerboard keeps the last axis whole, so both sign
     multiplies run over rows of length G.  The first, by weight * signs,
     makes the only new array, so the FFT sums scaled terms (an unscaled sum
-    can overflow where the result is finite); the FFT and the last signs
-    run in place on it.
+    can overflow where the result is finite); the FFT (numpy.fft's out=)
+    and the last signs run in place on it.
     """
     G, ndim = vals.shape[0], vals.ndim
     signs = _checkerboard(ndim, G)
     pairs = vals.reshape((G // 2, 2) * (ndim - 1) + (G,))
     work = (pairs * (weight * signs)).reshape(vals.shape)
     if sign > 0:
-        work = scipy.fft.fftn(work, overwrite_x=True)
+        np.fft.fftn(work, out=work)
     else:
-        work = scipy.fft.ifftn(work, norm="forward", overwrite_x=True)
-    out = work.reshape(pairs.shape)  # a view: the FFT output is contiguous
+        np.fft.ifftn(work, norm="forward", out=work)
+    out = work.reshape(pairs.shape)  # a view: work is contiguous
     out *= signs
     return work
 
@@ -164,9 +164,8 @@ def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
         return OrbitGridFunction(grid=F.grid, values=vals.ravel())
     S, B = F._nodes
     G, N = B.shape
-    # FB, B * signs and np.fft's complex copy of it, and _from_nodes's |S|
-    _refuse_over_guard("inverse orbit transform", F.grid.num_points,
-                       3 * G * N + S.size)
+    # FB, B * signs and np.fft's complex copy of it
+    _refuse_over_guard("inverse orbit transform", F.grid.num_points, 3 * G * N)
     signs = _checkerboard(1, G)[:, None]
     FB = np.fft.ifft(B * signs, axis=0, norm="forward")
     FB *= F.weight ** (0.5 / F.grid.n) * signs

@@ -4,9 +4,10 @@ The table is built from e^{-|w|^2/2} w^m / sqrt(m!), for the oracles and
 tests only.  The coefficient map, for any n, takes Laguerre recurrences on
 the same columns at the Gauss-Hermite node pairs and interpolates them to
 the grid; it never builds the table.  The position-space Riemann sum
-oracle.riemann_sum, on scipy's Hermite values and batched over the grid by
-ambiguity_batch, checks both to rounding, and oracle.table_coefficient_map,
-the closed form at every grid point, checks the map to rounding.
+oracle.riemann_sum, on the oracle's port of scipy's Hermite values and
+batched over the grid by ambiguity_batch, checks both to rounding, and
+oracle.table_coefficient_map, the closed form at every grid point, checks
+the map to rounding.
 """
 from __future__ import annotations
 
@@ -97,8 +98,9 @@ def test_quadrature_guard_names_its_count(monkeypatch):
 
 
 def test_riemann_oracles_read_no_in_package_recurrence(monkeypatch):
-    # their Hermite values come from scipy's eval_hermite, so they share no
-    # basis code with the main path's _interpolation_matrix
+    # their Hermite values come from the oracle's port of scipy's
+    # eval_hermite, so they share no basis code with the main path's
+    # _interpolation_matrix
     def refuse(*args):
         raise AssertionError("a Riemann oracle read hermite_columns")
 

@@ -1,7 +1,8 @@
 """Independent quadrature oracles and closed-form cross-checks.
 
 Everything here is computed by a route disjoint from the main code path:
-scipy's eval_hermite plus literal Riemann/Gauss-Hermite sums, closed-form
+the oracle's port of scipy's eval_hermite (checked against scipy bit for
+bit) plus literal Riemann/Gauss-Hermite sums, closed-form
 Laguerre matrix elements, and the symbol map's closed form by rotation
 charge.
 """
@@ -16,8 +17,8 @@ from math import factorial
 
 from berezin import (HeisenbergElement, RepresentationContext, default_config,
                      oracle)
-from berezin.oracle import (PositionGrid, _position_bounds,
-                            analytic_singular_values,
+from berezin.oracle import (_MAX_MODE, PositionGrid, _eval_hermite,
+                            _position_bounds, analytic_singular_values,
                             coherent_overlap_exact, displacement_element,
                             gauss_hermite_matrix_element, hermite_basis_value,
                             oracle_double_sum_ft, oracle_matrix_element,
@@ -37,6 +38,19 @@ def test_position_grid_invariants_hold_for_config():
                               + 10.0 / np.sqrt(lam))
             assert grid.t[-1] == grid.R == -grid.t[0]
             assert 0.0 in grid.t
+
+
+def test_eval_hermite_is_scipys_eval_hermite_bit_for_bit():
+    # every mode the overflow guard admits, at 40000 points out to |y| = 40
+    # and at points where the recurrence overflows to inf (inf - inf: nan)
+    from scipy.special import eval_hermite
+    y = np.concatenate([np.linspace(-40.0, 40.0, 40000),
+                        [-np.inf, -1e200, -1e5, -0.0, 1e5, 1e200, np.inf]])
+    for m in range(_MAX_MODE + 1):
+        assert np.array_equal(_eval_hermite(m, y), eval_hermite(m, y),
+                              equal_nan=True), m
+    assert np.isinf(_eval_hermite(2, y[-2:])).all()
+    assert not np.isfinite(_eval_hermite(_MAX_MODE, y[-3:])).any()
 
 
 def test_vacuum_value_at_origin():

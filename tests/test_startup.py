@@ -3,10 +3,13 @@ to run the node-route commands and the battery, and to run the
 position-space quadrature oracle.
 
 The node route needs numpy only: its Gauss-Hermite node positions come from
-numpy's hermgauss and its 1-D inverse FFT from numpy.fft.  So start-up loads
-no public scipy submodule, and `symbol`, `wigner` and `report` load none of
-scipy.special, scipy.fft or scipy.linalg.  The oracles (scipy.special) and
-the n-D orbit FFT (scipy.fft) load theirs on first use, as `verify` does.
+numpy's hermgauss and its 1-D inverse FFT from numpy.fft.  The battery's
+oracles take their Hermite values from the oracle's own port of scipy's
+recurrence, and the n-D orbit FFT runs in place by numpy.fft.  So start-up
+loads no public scipy submodule, and `symbol`, `wigner`, `report` and
+`verify` load none of scipy.special, scipy.fft or scipy.linalg; only
+oracle.analytic_singular_values, which tests and CI call, loads
+scipy.special.
 No module of the package imports scipy.signal, which pulls in scipy.stats,
 optimize, integrate, interpolate, ndimage, sparse and spatial: the Riemann
 quadrature oracle (oracle.riemann_sum, batched by ambiguity_batch) is one
@@ -88,10 +91,12 @@ def test_node_route_commands_load_no_special_fft_or_linalg(small_run,
     assert _scipy_subpackages(mods) & HEAVY == set()
 
 
-def test_verify_loads_scipy_special_for_its_oracles(small_run):
+def test_verify_loads_no_special_fft_or_linalg(small_run):
+    # the whole battery, oracles included, on numpy alone
     mods = _imported("-m", "berezin", "verify", "--config", "cfg.json",
                      "--out", "out-verify", cwd=small_run)
-    assert "scipy.special" in _scipy_subpackages(mods)
+    assert "berezin.oracle" in mods
+    assert _scipy_subpackages(mods) & HEAVY == set()
 
 
 def test_quadrature_oracle_loads_no_scipy_signal():
