@@ -60,19 +60,14 @@ class ModelConfig:
             if f.name != "L" or self.L is not None:
                 object.__setattr__(self, f.name,
                                    _checked(f.name, getattr(self, f.name)))
-        for key, ceiling in (("n", MAX_N), ("M", MAX_M), ("G", MAX_G)):
-            if getattr(self, key) > ceiling:
-                raise ConfigError("%s must not exceed %d" % (key, ceiling))
-        if int(self.n) != self.n or self.n < 1:
-            raise ConfigError("n must be a positive integer")
+        if self.M > MAX_M:
+            raise ConfigError("M must not exceed %d" % MAX_M)
         if int(self.M) != self.M or self.M < 1:
             raise ConfigError("M must be a positive integer")
-        if self.L is None:  # name a bad lam or G before default_L reads lam
-            _validate_lattice(self.lam, 1.0, self.G)
+        if self.L is None:  # name a bad lattice field before default_L runs
+            _validate_lattice(self.n, self.lam, 1.0, self.G)
             object.__setattr__(self, "L", float(default_L(self.lam, self.M)))
-        _validate_lattice(self.lam, self.L, self.G)
-        for key in ("n", "M", "G"):  # integral as validated: store them int
-            object.__setattr__(self, key, int(getattr(self, key)))
+        _validate_lattice(self.n, self.lam, self.L, self.G)
         for key in ("tol_identity", "tol_quadrature"):
             if not 0 < getattr(self, key) < np.inf:
                 raise ConfigError("%s must be a positive finite real" % key)
@@ -93,8 +88,8 @@ default_config = ModelConfig  # every default is a field default
 
 
 def _checked(key: str, value) -> int | float:
-    """value, as a float unless key is n, M or G; ConfigError naming the key
-    unless it is a real number other than a bool (for n, M, G a finite one)."""
+    """value as a float (for n, M, G an int where integral); ConfigError
+    naming the key unless it is a non-bool real (for n, M, G a finite one)."""
     integer = key in ("n", "M", "G")
     if isinstance(value, bool) or not isinstance(value, Real) or (
             integer and not isinstance(value, Integral) and not isfinite(value)):
@@ -102,15 +97,20 @@ def _checked(key: str, value) -> int | float:
             "lambda" if key == "lam" else key,
             "an integer" if integer else "a number"))
     try:
-        return value if integer else float(value)
+        return float(value) if not integer else (
+            int(value) if int(value) == value else value)
     except OverflowError:  # an int past the float range: not finite
         return np.inf
 
 
-def _validate_lattice(lam: float, L: float, G: int) -> None:
-    """ConfigError naming the bound unless lambda and L are positive finite
-    reals and G is an even integer >= 2 (the orbit Fourier transform's
-    checkerboard kernel needs G even)."""
+def _validate_lattice(n, lam: float, L: float, G) -> None:
+    """ConfigError naming the bound unless n >= 1 and even G >= 2 are integers
+    under their ceilings and lambda and L positive finite reals."""
+    for key, value, ceiling in (("n", n, MAX_N), ("G", G, MAX_G)):
+        if value > ceiling:
+            raise ConfigError("%s must not exceed %d" % (key, ceiling))
+    if int(n) != n or n < 1:
+        raise ConfigError("n must be a positive integer")
     if not (lam > 0 and np.isfinite(lam)):
         raise ConfigError("lambda must be a positive finite real")
     if not (L > 0 and np.isfinite(L)):
@@ -157,10 +157,9 @@ class PhaseGrid:
     G: int
 
     def __post_init__(self):
-        for key in ("lam", "L", "G"):
+        for key in ("n", "lam", "L", "G"):
             object.__setattr__(self, key, _checked(key, getattr(self, key)))
-        _validate_lattice(self.lam, self.L, self.G)
-        object.__setattr__(self, "G", int(self.G))
+        _validate_lattice(self.n, self.lam, self.L, self.G)
 
     @property
     def h(self) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import platform
+import warnings
 from dataclasses import fields
 from datetime import datetime, timezone
 from itertools import product
@@ -103,15 +104,24 @@ def write_grid_csv(path, fn, quantity: str, cfg: ModelConfig) -> list:
 
 
 def read_grid_csv(path) -> tuple:
-    """Returns (coords, complex values); validates the header shape."""
+    """(coords, complex values); any fault is a ConfigError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         cols = header.split(",")
         if len(cols) < 4 or cols[-2:] != ["re", "im"] or len(cols) % 2 != 0:
             raise ConfigError("%s: unexpected CSV header %r" % (path, header))
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            with warnings.catch_warnings():  # no rows: refused below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError("%s: %s" % (path, exc)) from exc
+    if data.shape[0] == 0:
+        raise ConfigError("%s: no rows after the header" % path)
     if data.shape[1] != len(cols):
         raise ConfigError("%s: row width does not match the header" % path)
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        raise ConfigError("%s: non-finite entries" % path)
     return data[:, :-2], data[:, -2] + 1j * data[:, -1]
 
 

@@ -10,9 +10,9 @@ ell^d_j = sqrt(j! d!/(j+d)!) L_j^(d)(|w|^2).  The coherent state phi_x =
 pi(x) phi is column 0, conj(C_d) per axis, so coherent_state and the coherent
 table read the Bargmann columns C_d directly and build no matrix; rep_matrix
 builds its matrix per query (nothing is cached) and apply_group applies the
-displacement_1d factors axis by axis without building it.
-ambiguity_batch, oracle.riemann_sum on the whole grid, is the oracle of all
-of them.
+displacement_1d factors axis by axis without building it.  All three check
+their element by RepresentationContext.check_displacement, and their oracle
+is ambiguity_batch, oracle.riemann_sum on the whole grid.
 
 The coefficient map and the covariant symbol take their values at the
 Gauss-Hermite node pairs from _node_table and carry them to the grid with one
@@ -167,8 +167,11 @@ class RepresentationContext:
 
     # -- validity -------------------------------------------------------------
 
-    def check_displacement(self, a: np.ndarray, b: np.ndarray) -> None:
-        r = max(np.abs(a).max(), np.abs(b).max())
+    def check_displacement(self, g: HeisenbergElement | PhasePoint) -> None:
+        """Refuse an element or phase point g of another n or off the box."""
+        if g.n != self.cfg.n:
+            raise ValueError("dimension mismatch")
+        r = max(np.abs(g.a).max(), np.abs(g.b).max())
         if r > self.cfg.L:
             raise TruncationError(
                 "displacement exceeds truncation validity: sup|(a,b)| = %g > L = %g"
@@ -236,9 +239,7 @@ def rep_matrix(ctx: RepresentationContext, g: HeisenbergElement) -> OperatorMatr
     factor as that character times the Kronecker product over axes of the
     displacement_1d matrices.
     """
-    if g.n != ctx.cfg.n:
-        raise ValueError("dimension mismatch")
-    ctx.check_displacement(g.a, g.b)
+    ctx.check_displacement(g)
     lam = ctx.cfg.lam
     scalar = np.exp(1j * lam * g.c)
     if np.all(g.a == 0.0) and np.all(g.b == 0.0):
@@ -257,9 +258,7 @@ def apply_group(ctx: RepresentationContext, g: HeisenbergElement,
     """
     if f.dim != ctx.cfg.dim:
         raise ValueError("state dimension mismatch")
-    if g.n != ctx.cfg.n:
-        raise ValueError("dimension mismatch")
-    ctx.check_displacement(g.a, g.b)
+    ctx.check_displacement(g)
     lam, M = ctx.cfg.lam, ctx.cfg.M
     scalar = np.exp(1j * lam * g.c)
     if np.all(g.a == 0.0) and np.all(g.b == 0.0):
@@ -280,9 +279,7 @@ def coherent_state(ctx: RepresentationContext, x: PhasePoint) -> HermiteState:
     2/sqrt(lam) at M = 16; beyond that the truncated norm decays (no
     renormalization is applied).
     """
-    if x.n != ctx.cfg.n:
-        raise ValueError("dimension mismatch")
-    ctx.check_displacement(x.a, x.b)
+    ctx.check_displacement(x)
     s = np.sqrt(ctx.cfg.lam / 2.0)
     return HermiteState(reduce(np.kron, [
         np.conj(_bargmann_columns(s * (a + 1j * b), ctx.cfg.M))

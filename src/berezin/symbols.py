@@ -40,7 +40,8 @@ from functools import reduce
 import numpy as np
 
 from .core import (GridFunction, HermiteState, OperatorMatrix,
-                   TruncationError, _expansion_need, hs_inner, inner_l2)
+                   TruncationError, _expansion_need, _refuse_over_guard,
+                   hs_inner, inner_l2)
 from .heisenberg import HeisenbergElement, PhasePoint, project_to_phase
 from .schroedinger import (RepresentationContext, _guard_node_route,
                            _interpolation_matrix, _node_table, coherent_state,
@@ -259,9 +260,7 @@ def check_symbol_map(ctx: RepresentationContext) -> None:
     K = min(grid.G, N)
     # F, its two products with R, LAPACK's copy; the sv products, sorted
     need = (N * N + K * N + 2 * K * K) * M * M + 2 * dim * dim
-    if need > _SVD_LIMIT:
-        raise MemoryError("symbol map SVD needs %d complex entries, over the "
-                          "size guard of %d; reduce M or G" % (need, _SVD_LIMIT))
+    _refuse_over_guard("symbol map SVD", grid.num_points, need, _SVD_LIMIT)
 
 
 def injectivity_report(ctx: RepresentationContext) -> dict:

@@ -33,9 +33,9 @@ transform in place (out=, numpy >= 2.0), so it holds one grid-sized array
 beside its input.  Node-route samples, the Wigner table among them, are
 shown finite by a bound on S and the factor (GridFunction._from_nodes) and
 expand their values, one matmul per axis, only on their first read;
-inner_l2, and so the norms and moyal_residual, pair them in node form
-without reading them.  Every other sample's values are scanned
-(core._require_finite).
+inner_l2, and so the norms and moyal_residual (the battery's Moyal rows),
+pair them in node form without reading them.  Every other sample's values
+are scanned (core._require_finite).
 """
 from __future__ import annotations
 
@@ -243,27 +243,29 @@ def wigner(ctx: RepresentationContext, f: HermiteState,
     return inverse_fourier_orbit(coefficient_map(ctx, f, phi))
 
 
-def moyal_residual(ctx: RepresentationContext,
-                   f1: HermiteState, phi1: HermiteState,
-                   f2: HermiteState, phi2: HermiteState) -> tuple[float, float]:
-    """Deviation of both transform pairings from (f1|f2) * conj((phi1|phi2)).
-
-    Returns (ambiguity-side residual, Wigner-side residual).  Both pairings
-    run in node form (inner_l2), so wherever 2M - 1 <= G no table is built.
-    The guard counts one node tensor held beside the second map's stage or
-    beside the Wigner pairing: both FB, inner_l2's conjugate copy of one
-    and their Gram matrix, and the other node tensor expanded by it.
-    """
-    cfg, grid = ctx.cfg, ctx.grid
-    n, G, N = cfg.n, cfg.G, 2 * cfg.M - 1
-    pairing = 3 * G * N + N * N + _expansion_need(N, N, n)
-    _guard_node_route("Moyal residual", grid, cfg.M, N ** (2 * n) + max(
-        _map_node_stage(cfg), pairing))
-    target = f1.inner(f2) * np.conj(phi1.inner(phi2))
-    A1 = coefficient_map(ctx, f1, phi1)
-    A2 = coefficient_map(ctx, f2, phi2)
-    amb = abs(inner_l2(A1, A2) - target)
-    W1, A1 = inverse_fourier_orbit(A1), None
-    W2, A2 = inverse_fourier_orbit(A2), None
-    wig = abs(inner_l2(W1, W2) - target)
+def moyal_residual(ctx: RepresentationContext, states: list,
+                   windows: list) -> tuple[float, float]:
+    """Largest deviations of (A_i | A_j) from (f_i|f_j) conj((phi_i|phi_j))
+    over i <= j, A_i the map of states[i] against windows[i], on the
+    ambiguity side and then, each map replaced by its inverse transform, on
+    the Wigner side.  For k states the guard counts k - 1 node tensors
+    beside the last map's stage or a pairing: k FB, inner_l2's conjugate
+    copy of one, the Gram matrix, the other tensor expanded by it, and
+    k - 2 tables where 2M - 1 > G (inner_l2 reads values)."""
+    k = len(states)
+    if k == 0 or len(windows) != k:
+        raise ValueError("moyal_residual takes one window per state")
+    cfg, grid, N = ctx.cfg, ctx.grid, 2 * ctx.cfg.M - 1
+    pairing = ((k + 1) * cfg.G * N + N * N + _expansion_need(N, N, cfg.n)
+               + (max(k - 2, 0) * grid.num_points if N > cfg.G else 0))
+    _guard_node_route("Moyal residual", grid, cfg.M, (k - 1) * N ** (2 * cfg.n)
+                      + max(_map_node_stage(cfg), pairing))
+    pairs = [(i, j, states[i].inner(states[j])
+              * np.conj(windows[i].inner(windows[j])))
+             for i in range(k) for j in range(i, k)]
+    samples = [coefficient_map(ctx, f, phi) for f, phi in zip(states, windows)]
+    amb = max(abs(inner_l2(samples[i], samples[j]) - t) for i, j, t in pairs)
+    for i in range(k):  # each map is freed as its inverse replaces it
+        samples[i] = inverse_fourier_orbit(samples[i])
+    wig = max(abs(inner_l2(samples[i], samples[j]) - t) for i, j, t in pairs)
     return float(amb), float(wig)

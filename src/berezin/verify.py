@@ -3,8 +3,9 @@
 Each check pins one published identity at the truncation sized for it; the
 incoming config contributes lambda and the tolerance knobs, while M, L, G are
 fixed per check so that every row measures the identity rather than an
-under-resolved grid.  All randomness flows from one seeded generator, so two
-runs with the same config and seed produce byte-identical residuals.
+under-resolved grid; the Moyal rows are transforms.moyal_residual itself.
+All randomness flows from one seeded generator, so two runs with the same
+config and seed produce byte-identical residuals.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ModelConfig, PhaseGrid, HermiteState, OperatorMatrix,
-                   basis_state, identity_operator, inner_l2, rank_one)
+                   basis_state, identity_operator, rank_one)
 from .heisenberg import HeisenbergElement, PhasePoint
 from .oracle import (coherent_overlap_exact, gauss_hermite_matrix_element,
                      oracle_double_sum_ft, oracle_matrix_element)
@@ -22,8 +23,7 @@ from .schroedinger import RepresentationContext, coherent_state, gaussian_vector
 from .symbols import (build_symbol_map, covariance_residual, covariant_symbol,
                       hs_identity_residual, onb_expansion_check, reconstruct,
                       trace_identity_residual)
-from .transforms import (OrbitGridFunction, coefficient_map, fourier_orbit,
-                         inverse_fourier_orbit)
+from .transforms import OrbitGridFunction, fourier_orbit, moyal_residual
 
 
 @dataclass
@@ -110,17 +110,10 @@ def run_verification(cfg: ModelConfig, seed: int = 0) -> VerificationReport:
     ctx16 = make_ctx(16, 128)
     ctx8 = make_ctx(8, 128)
 
-    # Moyal orthogonality: pairings of both transforms against e0..e5,
-    # fixed analysis window phi = vacuum.
+    # Moyal orthogonality of e0..e5 against the vacuum window, both sides.
     vac16 = gaussian_vector(ctx16.cfg)
-    ambs = [coefficient_map(ctx16, basis_state(16, j), vac16) for j in range(6)]
-    wigs = [inverse_fourier_orbit(a) for a in ambs]
-    amb_res, wig_res = 0.0, 0.0
-    for i in range(6):
-        for j in range(i, 6):
-            target = 1.0 if i == j else 0.0
-            amb_res = max(amb_res, abs(inner_l2(ambs[i], ambs[j]) - target))
-            wig_res = max(wig_res, abs(inner_l2(wigs[i], wigs[j]) - target))
+    amb_res, wig_res = moyal_residual(
+        ctx16, [basis_state(16, j) for j in range(6)], [vac16] * 6)
     add("moyal_ambiguity", amb_res, 1e-6, detail="pairs from e0..e5, window phi")
     add("moyal_wigner", wig_res, 1e-6, detail="same pairs through the Wigner side")
 

@@ -72,6 +72,37 @@ def test_verify_reports_m1_sigma(paths, capsys):
     assert sigma == pytest.approx(math.sqrt(0.5), abs=1e-6)
 
 
+def test_verify_failed_check_exits_1(paths, capsys):
+    # coherent_norm is the one row bounded by tol_identity: at 1e-12 it
+    # fails, and the table, the manifest and --json still report the run
+    cfg_path = paths["root"] / "cfg_tight.json"
+    save_config(cfg_path, default_config(lam=1.0, M=8, tol_identity=1e-12))
+    out = paths["root"] / "out_tight"
+    rc = main(["verify", "--config", str(cfg_path), "--out", str(out),
+               "--json"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "failed checks: coherent_norm\n"
+    payload = json.loads(captured.out)
+    assert payload["passed"] is False
+    assert payload["failures"] == ["coherent_norm"]
+    rows = (out / "verify_table.txt").read_text().splitlines()
+    assert [r.split()[0] for r in rows if r.endswith("FAIL")] == \
+        ["coherent_norm"]
+    assert (out / "verify_manifest.json").exists()
+
+
+def test_verify_refuses_n2_exits_2(paths, capsys):
+    cfg_path = paths["root"] / "cfg_verify_n2.json"
+    save_config(cfg_path, default_config(n=2, M=5, G=40))
+    out = paths["root"] / "out_verify_n2"
+    rc = main(["verify", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: the verification battery is defined for n = 1\n"
+    assert not (out / "verify_manifest.json").exists()
+
+
 def test_verify_rejects_coarse_grid(paths, capsys):
     cfg_path = paths["root"] / "cfg_g8.json"
     cfg_path.write_text(json.dumps({
@@ -564,8 +595,9 @@ def test_report_sweep_beyond_svd_guard_exits_2_up_front(paths, capsys):
     rc = main(["report", "--config", str(cfg_path), "--sweep", "1..60",
                "--out", str(out)])
     assert rc == 2 and time.perf_counter() - start < 5.0
-    assert ("symbol map SVD needs 70094616 complex entries, over the size "
-            "guard of 67108864" in capsys.readouterr().err)
+    assert ("symbol map SVD on 16384 grid points needs 70094616 complex "
+            "entries, over the size guard of 67108864"
+            in capsys.readouterr().err)
     assert not os.path.exists(out / "injectivity.json")
 
 

@@ -131,6 +131,28 @@ def test_phase_grid_refuses_lambda_and_L_outside_zero_to_inf(lam, L, bound):
         PhaseGrid(n=1, lam=lam, L=L, G=8)
 
 
+@pytest.mark.parametrize("n, message", [
+    (0, "n must be a positive integer"), (-1, "n must be a positive integer"),
+    (1.5, "n must be a positive integer"), (13, "n must not exceed 12"),
+    (True, "config key 'n' must be an integer"),
+    ("x", "config key 'n' must be an integer"),
+    (float("nan"), "config key 'n' must be an integer")],
+    ids=["0", "-1", "1.5", "13", "True", "x", "nan"])
+def test_phase_grid_refuses_n_as_the_config_does(n, message):
+    # PhaseGrid(n=1.5, lam=1, L=5, G=8) constructed, with num_points 512.0
+    for make in (lambda: PhaseGrid(n=n, lam=1.0, L=5.0, G=8),
+                 lambda: ModelConfig(n=n)):
+        with pytest.raises(ConfigError, match="^%s$" % message):
+            make()
+
+
+def test_phase_grid_stores_n_as_int():
+    for n in (np.int64(2), 2.0):
+        grid = PhaseGrid(n=n, lam=1.0, L=5.0, G=8)
+        assert type(grid.n) is int and grid.n == 2
+        assert type(grid.num_points) is int and grid.num_points == 4096
+
+
 def test_density_normalization():
     assert PhaseGrid(n=1, lam=2.0 * np.pi, L=1.0, G=2).density == pytest.approx(1.0)
     cfg = default_config(lam=1.0, M=8, L=8.0)

@@ -4,7 +4,9 @@ from __future__ import annotations
 import io
 import json
 import platform
+import re
 import tracemalloc
+import warnings
 from datetime import datetime
 
 import numpy as np
@@ -227,6 +229,22 @@ def test_grid_csv_rejects_foreign_header(tmp_path):
     p.write_text("x,y,z\n1,2,3\n")
     with pytest.raises(ConfigError, match="header"):
         read_grid_csv(p)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,2,3,x\n", "could not convert string 'x'"),
+    ("1,2,3,4\n1,2,nan,4\n", "non-finite entries"),
+    ("", "no rows after the header")],
+    ids=["unparsable", "nan", "header-only"])
+def test_grid_csv_refuses_bad_rows_naming_the_file(tmp_path, rows, message):
+    # numpy's ValueError escaped, a nan was returned as data, and a header
+    # alone warned "input contained no data" before a width error
+    p = tmp_path / "bad.csv"
+    p.write_text("a1,b1,re,im\n" + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=re.escape("%s: " % p) + message):
+            read_grid_csv(p)
 
 
 def test_operator_csv_round_trip(tmp_path):

@@ -157,6 +157,20 @@ def test_coherent_state_beyond_box_rejected(ctx):
         coherent_state(ctx, PhasePoint([ctx.cfg.L + 1.0], [0.0]))
 
 
+@pytest.mark.parametrize("route", ["rep_matrix", "apply_group",
+                                   "coherent_state"])
+def test_pi_routes_refuse_an_element_of_another_n(ctx, route):
+    # check_displacement names the mismatch before it reads the box, which
+    # this n = 2 element's second axis leaves as well
+    g = HeisenbergElement([0.5, ctx.cfg.L + 1.0], [0.0, 0.0])
+    calls = {"rep_matrix": lambda: rep_matrix(ctx, g),
+             "apply_group": lambda: apply_group(ctx, g, basis_state(16, 1)),
+             "coherent_state": lambda: coherent_state(ctx,
+                                                      PhasePoint(g.a, g.b))}
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        calls[route]()
+
+
 @pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
 @pytest.mark.parametrize("n", [1, 2])
 def test_coherent_state_is_rep_matrix_column_zero(lam, n):

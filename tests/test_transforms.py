@@ -14,11 +14,12 @@ from berezin import (GridFunction, HermiteState, ModelConfig, OperatorMatrix,
                      default_config, fourier_orbit, gaussian_vector,
                      identity_operator, inner_l2, inverse_fourier_orbit,
                      moyal_residual, orbit_inner, trace_identity_residual,
-                     wigner)
+                     transforms, wigner)
 from berezin.core import _expand_nodes
 from berezin.oracle import oracle_double_sum_ft
 from berezin.schroedinger import _interpolation_matrix, ambiguity_batch
 from berezin.transforms import OrbitGridFunction, _orbit_dft
+from berezin.verify import run_verification
 
 
 @pytest.fixture(scope="module")
@@ -299,14 +300,15 @@ def test_wigner_orthogonal_modes(ctx):
 
 def test_moyal_vacuum_quadruple(ctx):
     vac = gaussian_vector(ctx.cfg)
-    r1, r2 = moyal_residual(ctx, vac, vac, vac, vac)
+    r1, r2 = moyal_residual(ctx, [vac, vac], [vac, vac])
     assert r1 < ctx.cfg.tol_identity
     assert r2 < ctx.cfg.tol_identity
 
 
 def test_moyal_orthogonal_targets(ctx):
     vac = gaussian_vector(ctx.cfg)
-    r1, r2 = moyal_residual(ctx, basis_state(8, 0), vac, basis_state(8, 1), vac)
+    r1, r2 = moyal_residual(ctx, [basis_state(8, 0), basis_state(8, 1)],
+                            [vac, vac])
     assert r1 < ctx.cfg.tol_identity
     assert r2 < ctx.cfg.tol_identity
 
@@ -315,7 +317,7 @@ def test_moyal_random_quadruples(ctx):
     rng = np.random.default_rng(11)
     for _ in range(20):
         f1, p1, f2, p2 = (_random_state(rng, 8) for _ in range(4))
-        r1, r2 = moyal_residual(ctx, f1, p1, f2, p2)
+        r1, r2 = moyal_residual(ctx, [f1, f2], [p1, p2])
         assert r1 < 10.0 * ctx.cfg.tol_identity
         assert r2 < 10.0 * ctx.cfg.tol_identity
 
@@ -363,7 +365,7 @@ def test_n2_moyal_and_wigner():
     phi2 = np.zeros(9, dtype=complex)
     phi2[0] = 1.0
     F2, P2 = HermiteState(coeffs=f2), HermiteState(coeffs=phi2)
-    r1, r2 = moyal_residual(x2, F2, P2, F2, P2)
+    r1, r2 = moyal_residual(x2, [F2, F2], [P2, P2])
     assert max(r1, r2) < 1e-6
     W = wigner(x2, P2, P2)
     assert np.abs(W.values.imag).max() < 1e-12
@@ -743,13 +745,16 @@ def test_moyal_residual_guard_bounds_its_peak(guard_ctx, need_and_peak):
     # the count holds one node tensor beside the second map's node stage or
     # the Wigner pairing (64 KiB left for small objects); where 2M - 1 > G
     # inner_l2 reads the values instead, each counted on its read, and the
-    # peak stays within the count too
+    # peak stays within the count too; at six states the count adds four
+    # node tensors, four FB and, where 2M - 1 > G, four tables
     cfg = guard_ctx.cfg
     rng = np.random.default_rng(17)
-    f1, p1, f2, p2 = (_random_state(rng, cfg.dim) for _ in range(4))
-    need, peak = need_and_peak(lambda: moyal_residual(guard_ctx, f1, p1,
-                                                      f2, p2))
-    assert peak <= 16 * need + 65536
+    for k in (2, 6):
+        states, windows = ([_random_state(rng, cfg.dim) for _ in range(k)]
+                           for _ in range(2))
+        need, peak = need_and_peak(lambda: moyal_residual(guard_ctx, states,
+                                                          windows))
+        assert peak <= 16 * need + 65536
 
 
 def test_moyal_residual_refuses_its_count_over_the_guard(monkeypatch):
@@ -758,13 +763,63 @@ def test_moyal_residual_refuses_its_count_over_the_guard(monkeypatch):
     # and served at it, where neither table's values could be read
     cx = RepresentationContext(default_config(n=2, M=5, G=64))
     vac = gaussian_vector(cx.cfg)
-    args = cx, basis_state(25, 1), vac, basis_state(25, 2), vac
+    args = cx, [basis_state(25, 1), basis_state(25, 2)], [vac, vac]
     monkeypatch.setattr(core, "_TABLE_LIMIT", 30788)
     with pytest.raises(MemoryError, match="Moyal residual on 16777216 grid "
                        "points needs 30789 complex entries"):
         moyal_residual(*args)
     monkeypatch.setattr(core, "_TABLE_LIMIT", 30789)
     assert max(moyal_residual(*args)) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
+def test_battery_moyal_rows_equal_a_direct_pairing_loop(lam):
+    # the rows call moyal_residual on e0..e5 against the vacuum; a loop of
+    # its own over the same maps gives the same floats, bit for bit
+    report = run_verification(default_config(lam=lam), seed=7)
+    rows = report.residual_summary()
+    cx = RepresentationContext(ModelConfig(lam=lam, M=16, G=128))
+    vac = gaussian_vector(cx.cfg)
+    ambs = [coefficient_map(cx, basis_state(16, j), vac) for j in range(6)]
+    wigs = [inverse_fourier_orbit(a) for a in ambs]
+    for row, samples in (("moyal_ambiguity", ambs), ("moyal_wigner", wigs)):
+        loop = 0.0
+        for i in range(6):
+            for j in range(i, 6):
+                target = 1.0 if i == j else 0.0
+                loop = max(loop, abs(inner_l2(samples[i], samples[j]) - target))
+        assert rows[row] == loop
+
+
+def test_moyal_residual_pairs_every_i_le_j_once_per_side(ctx, monkeypatch):
+    # k = 3: six pairings per side, the three self pairs among them; the
+    # Wigner side pairs the inverse transforms of the same three maps
+    calls = []
+
+    def recording(u, v):
+        calls.append((u, v))
+        return inner_l2(u, v)
+
+    monkeypatch.setattr(transforms, "inner_l2", recording)
+    rng = np.random.default_rng(23)
+    states, windows = ([_random_state(rng, 8) for _ in range(3)]
+                       for _ in range(2))
+    assert max(moyal_residual(ctx, states, windows)) < ctx.cfg.tol_identity
+    assert len(calls) == 12
+    for side, kind in ((calls[:6], GridFunction),
+                       (calls[6:], OrbitGridFunction)):
+        assert all(type(u) is kind and type(v) is kind for u, v in side)
+        samples = list(dict.fromkeys(u for u, _ in side))
+        assert len(samples) == 3
+        assert [(samples.index(u), samples.index(v)) for u, v in side] == \
+            [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
+
+def test_moyal_residual_refuses_unmatched_windows(ctx):
+    vac = gaussian_vector(ctx.cfg)
+    for states, windows in (([vac, vac], [vac]), ([], [])):
+        with pytest.raises(ValueError, match="one window per state"):
+            moyal_residual(ctx, states, windows)
 
 
 @pytest.mark.parametrize("M, G", [(3, 24), (4, 32)])
@@ -779,7 +834,7 @@ def test_n3_trace_and_moyal_residuals_are_served(M, G):
     A = OperatorMatrix((E[0] + 1j * E[1]) / np.linalg.norm(E))
     assert trace_identity_residual(cx, A) < 1e-6
     f1, p1, f2, p2 = (_random_state(rng, cx.cfg.dim) for _ in range(4))
-    assert max(moyal_residual(cx, f1, p1, f2, p2)) < 1e-6
+    assert max(moyal_residual(cx, [f1, f2], [p1, p2])) < 1e-6
     points = G ** 6
     need = core._expansion_need(2 * M - 1, G, 3)
     with pytest.raises(MemoryError, match="node expansion on %d grid points "
