@@ -5,8 +5,12 @@ times a polynomial of degree <= 2M-2 in each of a and b (C_d ell^d_j of the
 schroedinger module docstring), so, for any n, its samples at the Gauss-Hermite
 node pairs (schroedinger._hermite_nodes, numpy's hermgauss positions) fix it
 and the interpolation matrix at scale lam/2 carries them to the grid; no
-grid-sized table is built.  The error is absolute, about
-eps * ||f|| ||phi||: tail values below that are rounding noise.
+grid-sized table is built.  The node samples are taken one axis pair at a
+time (_map_nodes): ell^d_0 = 1, so the j = 0 rows of the M lower diagonals
+are one contraction with the node table, and only the rows j >= 1 and the
+upper diagonals, which a window past the vacuum has, run the Laguerre
+recurrence.  The error is absolute, about eps * ||f|| ||phi||: tail values
+below that are rounding noise.
 
 The orbit carries Lebesgue measure in (alpha, beta) coordinates scaled by
 orbit_density = (2 pi lam)^{-n}; phase space carries (lam/2 pi)^n * Lebesgue.
@@ -173,9 +177,12 @@ def inverse_fourier_orbit(F: GridFunction) -> OrbitGridFunction:
 
 
 def _map_node_stage(cfg) -> int:
-    """Complex entries of the last node step of _map_nodes: its input, the
-    node values, one term of them, np.dot's copy of a diagonal of the input,
-    the Laguerre rows and temporaries, and the ufunc buffer of term *= scale.
+    """Complex entries of the last node step of _map_nodes for any window: its
+    input, the node values, M rows of the input (np.take's copy of the j = 0
+    slice, whose contraction reads c as a view, or later np.dot's copy of at
+    most M - 1 rows of a diagonal), and, for a window past the vacuum, one
+    term of the node values, the Laguerre rows and temporaries, and the ufunc
+    buffer of term *= scale.
     """
     n, M = cfg.n, cfg.M
     N = 2 * M - 1
@@ -207,32 +214,38 @@ def coefficient_map(ctx: RepresentationContext, f: HermiteState,
 def _map_nodes(f: np.ndarray, phi: np.ndarray, M: int, n: int) -> np.ndarray:
     """(f | pi(x) phi) at the node points w = x_p + i x_q, axes (a_1 b_1 ..):
     the Laguerre form on each diagonal d of f (x) conj(phi), one axis pair at a
-    time, its recurrence stopped at the window's last nonzero mode J."""
+    time.  ell^d_0 = 1, so the j = 0 row of every lower diagonal is one
+    contraction of the j_k = 0 slice with the node table; the recurrence runs
+    only for the rows j >= 1 and the upper diagonals, stopped at the window's
+    last nonzero mode J, so the vacuum (J = 0) runs none."""
     N = 2 * M - 1
-    x = _hermite_nodes(N)
-    rho = (x[:, None] ** 2 + x[None, :] ** 2).ravel()  # |w|^2 at node pairs
     c, cbar_t = _node_table(M, 1.0)
     window = phi.reshape((M,) * n)
     J = int(np.argwhere(window).max(initial=0))  # last nonzero window mode
-    ell = np.empty((min(J, M - 1) + 1, N * N), dtype=complex)
+    if J:
+        x = _hermite_nodes(N)
+        rho = (x[:, None] ** 2 + x[None, :] ** 2).ravel()  # |w|^2, node pairs
+        ell = np.empty((min(J, M - 1) + 1, N * N), dtype=complex)
     X = np.multiply.outer(f.reshape((M,) * n), np.conj(window))
     for k in range(n):  # axes (m_k.., j_k.., node pairs 1..k-1)
-        rest = X.shape[1:n - k] + X.shape[n - k + 1:]
-        nodes = np.zeros(rest + (N * N,), dtype=complex)
-        term = np.empty_like(nodes)
-        for d in range(M):
+        # sum_d O[d, 0] C_d, node pair k appended last
+        nodes = np.tensordot(np.take(X, 0, axis=n - k), c, (0, 1))
+        term = np.empty_like(nodes) if J else None
+        for d in range(M if J else 0):
             rows = min(J, M - 1 - d) + 1
             for j, e in enumerate(_laguerre_factors(rho, M, d, rows - 1)):
                 ell[j] = e
-            diags = [(-d, c[:, d])]  # O[j+d, j] C_d
+            diags = [(-d, 1, c[:, d])]  # O[j+d, j] C_d, j >= 1
             if 0 < d <= J:  # O[j, j+d] (-1)^d conj(C_d), zero past the window
-                diags.append((d, (-1.0) ** d * cbar_t[d]))
-            for offset, scale in diags:  # the diagonal unnamed: X dies with k
-                np.dot(np.diagonal(X, offset, 0, n - k)[..., :rows].reshape(
-                    -1, rows), ell[:rows], out=term.reshape(-1, N * N))
+                diags.append((d, 0, (-1.0) ** d * cbar_t[d]))
+            for offset, j0, scale in diags:  # unnamed: X dies with k
+                if j0 == rows:  # a lower diagonal of one row
+                    continue
+                np.dot(np.diagonal(X, offset, 0, n - k)[..., j0:rows].reshape(
+                    -1, rows - j0), ell[j0:rows], out=term.reshape(-1, N * N))
                 term *= scale
                 nodes += term
-        X, term = nodes, None  # node pair k appended last; term freed
+        X, term = nodes, None  # term freed
     return X.reshape((N,) * (2 * n))
 
 

@@ -20,7 +20,7 @@ from berezin import (HeisenbergElement, HermiteState, ModelConfig,
                      PhasePoint, RepresentationContext, analysis,
                      coefficient_map, coherent_state, default_L,
                      gaussian_vector)
-from berezin import core, schroedinger
+from berezin import core, schroedinger, transforms
 from berezin.oracle import (PositionGrid, displacement_element,
                             oracle_matrix_element, table_coefficient_map)
 from berezin.schroedinger import ambiguity_batch
@@ -203,6 +203,77 @@ def test_n2_entangled_map_matches_table_oracle():
     ref = table_coefficient_map(ctx, HermiteState(f), HermiteState(phi)).values
     scale = np.linalg.norm(f) * np.linalg.norm(phi)
     assert np.abs(got - ref).max() < 5e-15 * scale  # measured 4.2e-16
+
+
+def _window(rng, n, M, J):
+    """A random window whose modes stop at J on every axis (J = 0: the
+    vacuum, J = M - 1: a general window)."""
+    w = np.zeros((M,) * n, dtype=complex)
+    block = (J + 1,) * n
+    w[tuple(slice(0, J + 1) for _ in range(n))] = (
+        rng.standard_normal(block) + 1j * rng.standard_normal(block))
+    return HermiteState(w.ravel())
+
+
+@pytest.mark.parametrize("J", [0, 1], ids=["vacuum", "J1"])
+def test_n2_short_windows_map_matches_table_oracle(J):
+    # the j = 0 contraction alone (vacuum) and with one recurrence step
+    ctx = _ctx(1.0, 5, 40, n=2)
+    rng = np.random.default_rng(9)
+    f, phi = HermiteState(_random_coeffs(rng, 25)), _window(rng, 2, 5, J)
+    got = coefficient_map(ctx, f, phi).values
+    ref = table_coefficient_map(ctx, f, phi).values
+    scale = np.linalg.norm(f.coeffs) * np.linalg.norm(phi.coeffs)
+    assert np.abs(got - ref).max() < 5e-15 * scale  # measured 6.0e-16
+
+
+@pytest.mark.parametrize("J", [0, 31], ids=["vacuum", "full"])
+def test_m32_map_matches_table_oracle(J):
+    # node values do not depend on G: the smallest G that the resolution
+    # check admits at M = 32 keeps the oracle's (M, M, G, G) table at 105 MB
+    ctx = _ctx(1.0, 32, 80)
+    rng = np.random.default_rng(11)
+    f, phi = HermiteState(_random_coeffs(rng, 32)), _window(rng, 1, 32, J)
+    got = coefficient_map(ctx, f, phi).values
+    ref = table_coefficient_map(ctx, f, phi).values
+    scale = np.linalg.norm(f.coeffs) * np.linalg.norm(phi.coeffs)
+    assert np.abs(got - ref).max() < 5e-15 * scale  # measured 9.0e-16, 2.1e-15
+
+
+def test_vacuum_map_runs_no_laguerre_recurrence(monkeypatch):
+    # ell^d_0 = 1: the vacuum's map is the j = 0 contraction alone, while a
+    # window with a mode past the vacuum runs the recurrence
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return schroedinger._laguerre_factors(*args)
+
+    monkeypatch.setattr(transforms, "_laguerre_factors", counted)
+    rng = np.random.default_rng(13)
+    for n, M, G in ((1, 16, 128), (2, 5, 40)):
+        ctx = _ctx(1.0, M, G, n=n)
+        f = HermiteState(_random_coeffs(rng, M ** n))
+        coefficient_map(ctx, f, gaussian_vector(ctx.cfg))
+        assert calls == []
+        coefficient_map(ctx, f, _window(rng, n, M, 1))
+        assert calls
+        calls.clear()
+
+
+def test_n2_vacuum_map_of_a_product_state_is_the_product_of_n1_maps():
+    M, G = 16, 16
+    cfgs = [ModelConfig(n=n, lam=1.0, M=M, L=default_L(1.0, M), G=G,
+                        tol_identity=1e-6, tol_quadrature=0.9) for n in (1, 2)]
+    ctx1, ctx2 = (RepresentationContext(cfg) for cfg in cfgs)
+    rng = np.random.default_rng(14)
+    f1, f2 = _random_coeffs(rng, M), _random_coeffs(rng, M)
+    m1, m2 = (coefficient_map(ctx1, HermiteState(f), gaussian_vector(cfgs[0]))
+              .reshape() for f in (f1, f2))
+    got = coefficient_map(ctx2, HermiteState(np.kron(f1, f2)),
+                          gaussian_vector(cfgs[1])).reshape()
+    ref = np.einsum("ac,bd->abcd", m1, m2)  # axes (a_1, a_2, b_1, b_2)
+    assert np.abs(got - ref).max() < 1e-14 * np.abs(ref).max()  # 5.4e-16
 
 
 @pytest.mark.parametrize("n,M,G", [(1, 16, 128), (1, 8, 256), (2, 5, 40)])
