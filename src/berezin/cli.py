@@ -78,7 +78,8 @@ def cmd_verify(cfg, args) -> int:
         fh.write(report.table() + "\n")
     _finish(cfg, args, [table_path], report.residual_summary(),
             {"passed": report.passed, "failures": report.failures(),
-             "residual_summary": report.residual_summary()}, report.table())
+             "residual_summary": report.residual_summary(),
+             "elapsed_s": report.elapsed_summary()}, report.table())
     if not report.passed:
         print("failed checks: %s" % ", ".join(report.failures()),
               file=sys.stderr)

@@ -212,7 +212,7 @@ class HermiteState:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex).ravel()
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("non-finite coefficients")
         object.__setattr__(self, "coeffs", c)
 
@@ -251,7 +251,7 @@ class OperatorMatrix:
         a = np.asarray(self.entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("operator matrix must be square")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("non-finite entries")
         if self.hermitian and np.abs(a - a.conj().T).max() > 1e-12:
             raise ValueError("hermitian flag set but entries are not hermitian")

@@ -16,7 +16,7 @@ def _vec(x, n: int | None = None) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise ValueError("expected a scalar or 1D vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("non-finite entries")
     if n is not None and v.size != n:
         raise ValueError("dimension mismatch")

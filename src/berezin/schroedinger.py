@@ -12,7 +12,10 @@ table read the Bargmann columns C_d directly and build no matrix; rep_matrix
 builds its matrix per query (nothing is cached) and apply_group applies the
 displacement_1d factors axis by axis without building it.  All three check
 their element by RepresentationContext.check_displacement, and their oracle
-is ambiguity_batch, oracle.riemann_sum on the whole grid.
+is ambiguity_batch, oracle.riemann_sum on the whole grid.  _bargmann_columns,
+which feeds them, the coherent table and the node tables, forms the columns
+as one running product along the mode axis (no loop over modes) and flushes
+entries below _TABLE_FLOOR to exact zeros over blocks of rows.
 
 The coefficient map and the covariant symbol take their values at the
 Gauss-Hermite node pairs from _node_table and carry them to the grid with one
@@ -41,18 +44,26 @@ from .heisenberg import HeisenbergElement, PhasePoint
 # table entries below this modulus are stored as exact zeros, so every product
 # of two entries is zero or a normal float (subnormal arithmetic is slow)
 _TABLE_FLOOR = 2.0 ** -511
+# entries per block of _bargmann_columns's flush
+_FLUSH_ENTRIES = 2 ** 16
 
 
 def _bargmann_columns(w, M: int) -> np.ndarray:
-    """C[..., d] = C_d(w), d < M, by the overflow-free C_d = C_{d-1} w/sqrt(d);
-    each column is flushed as it is stored (entries below _TABLE_FLOOR become
-    exact zeros), while the recurrence runs on the unflushed values."""
-    C = np.empty(np.shape(w) + (M,), dtype=complex)
-    raw = np.exp(-0.5 * (w.real ** 2 + w.imag ** 2)).astype(complex)
-    for d in range(M):
-        raw = raw * (w / np.sqrt(d)) if d else raw
-        C[..., d] = raw
-        C[..., d][np.abs(raw) < _TABLE_FLOOR] = 0.0
+    """C[..., d] = C_d(w), d < M, as one running product: C[..., 0] =
+    e^{-|w|^2/2} and C[..., d] = w/sqrt(d) for d > 0, multiplied along the
+    last axis in place (overflow-free, as each factor is).  The product runs
+    on unflushed values; entries below _TABLE_FLOOR then become exact zeros,
+    _FLUSH_ENTRIES at a time, so the flush's modulus and mask stay small."""
+    w = np.asarray(w)
+    C = np.empty(w.shape + (M,), dtype=complex)
+    C[..., 0] = np.exp(-0.5 * (w.real ** 2 + w.imag ** 2))
+    np.divide(w[..., None], np.sqrt(np.arange(1, M)), out=C[..., 1:])
+    np.multiply.accumulate(C, axis=-1, out=C)
+    rows = C.reshape(-1, M)
+    step = max(1, _FLUSH_ENTRIES // M)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        block[np.abs(block) < _TABLE_FLOOR] = 0.0
     return C
 
 
@@ -119,8 +130,9 @@ def _node_table(M: int, root: float) -> tuple[np.ndarray, np.ndarray]:
     return c, cbar_t
 
 
-# the verification battery alone cycles through 8 (lam, L, G, M) keys
-@lru_cache(maxsize=16)
+# the verification battery reads 8 (lam, L, G, M) keys at each lambda; room
+# for three lambdas, so a run that cycles 0.5, 1 and 4 misses only once
+@lru_cache(maxsize=32)
 def _interpolation_matrix(lam: float, L: float, G: int, M: int) -> np.ndarray:
     """Read-only B (G, 2M-1): B[k, p] is the Hermite-function interpolant
     through (1 at node p, 0 at the other nodes of _hermite_nodes) at
@@ -171,7 +183,7 @@ class RepresentationContext:
         """Refuse an element or phase point g of another n or off the box."""
         if g.n != self.cfg.n:
             raise ValueError("dimension mismatch")
-        r = max(np.abs(g.a).max(), np.abs(g.b).max())
+        r = max(map(abs, g.a.tolist() + g.b.tolist()))  # 2n coordinates
         if r > self.cfg.L:
             raise TruncationError(
                 "displacement exceeds truncation validity: sup|(a,b)| = %g > L = %g"
@@ -188,10 +200,12 @@ class RepresentationContext:
         """
         G, M, n = self.cfg.G, self.cfg.M, self.cfg.n
         table = self.grid.num_points * self.cfg.dim
-        # the (G^2, M) axis table, w and one recurrence step's three arrays;
-        # at n > 1 the table with the flush's modulus and mask of one a_1 block
+        # the (G^2, M) axis table, w and the exponent's float temporaries (at
+        # most three, 1.5 complex entries per point; the running product is in
+        # place and its flush blockwise); at n > 1 the table with the flush's
+        # modulus and mask of one a_1 block
         _refuse_over_guard("coherent table", self.grid.num_points,
-                           max(G * G * (M + 4), table + table // G))
+                           max(G * G * (M + 3), table + table // G))
         ax = self.grid.axis
         w = np.sqrt(self.cfg.lam / 2.0) * (ax[:, None] + 1j * ax[None, :])
         C1 = _bargmann_columns(w.ravel(), M)

@@ -31,11 +31,12 @@ operator (the grid quadrature of conj(C_k)^T C_k over the grid points x_k),
 is ~1e-15 on default grids and controls every residual below.  W is
 separable too: the grid sum of S is u^T S_nodes u with u = B.sum(axis=0), so
 one axis pair gives W1 = dd1 c^H diag(vec(u u^T)) c from the node table c,
-and W is the Kronecker power of W1.
+and W is the Kronecker power of W1.  W1 depends on (lam, L, G, M) alone, so
+it is built once per key and cached read-only (_frame_factor), as B is.
 """
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -51,6 +52,21 @@ from .transforms import coefficient_map
 _SVD_LIMIT = 2 ** 26  # max complex entries of the symbol-map SVD's working set
 
 
+# two keys per lambda in the verification battery; sized like
+# _interpolation_matrix, whose B it sums
+@lru_cache(maxsize=32)
+def _frame_factor(lam: float, L: float, G: int, M: int) -> np.ndarray:
+    """Read-only W1 = dd1 c^H diag(vec(u u^T)) c of one axis pair, from the
+    node table c, u = B.sum(axis=0) and dd1 = lam h^2 / (2 pi)."""
+    c, cbar_t = _node_table(M, np.sqrt(2.0))
+    u = _interpolation_matrix(lam, L, G, M).sum(axis=0)
+    h = 2.0 * L / G  # PhaseGrid.h
+    dd1 = lam * h ** 2 / (2.0 * np.pi)
+    W1 = (cbar_t * (dd1 * np.outer(u, u).ravel())) @ c
+    W1.flags.writeable = False
+    return W1
+
+
 def frame_operator(ctx: RepresentationContext) -> np.ndarray:
     """W = density * cell_weight * sum_k conj(C_k)^T C_k over the grid rows C_k
     of the coherent table, the discrete resolution of identity.
@@ -58,13 +74,12 @@ def frame_operator(ctx: RepresentationContext) -> np.ndarray:
     Built from the node table without the coherent table: per axis pair
     W1 = dd1 c^H diag(vec(u u^T)) c with u = B.sum(axis=0) and
     dd1 = lam h^2 / (2 pi), and W is the Kronecker power of W1 over the n
-    axis pairs (module docstring).
+    axis pairs (module docstring).  W1 depends on (lam, L, G, M) alone and is
+    built once per key (_frame_factor, cached and read-only like B), so at
+    n = 1 W is that cached array itself.
     """
     cfg, grid = ctx.cfg, ctx.grid
-    c, cbar_t = _node_table(cfg.M, np.sqrt(2.0))
-    u = _interpolation_matrix(grid.lam, grid.L, grid.G, cfg.M).sum(axis=0)
-    dd1 = grid.lam * grid.h ** 2 / (2.0 * np.pi)
-    W1 = (cbar_t * (dd1 * np.outer(u, u).ravel())) @ c
+    W1 = _frame_factor(grid.lam, grid.L, grid.G, cfg.M)
     return reduce(np.kron, [W1] * cfg.n)
 
 
@@ -104,10 +119,10 @@ def onb_expansion_check(ctx: RepresentationContext, A: OperatorMatrix,
     direct = complex(np.vdot(cx, A.entries @ cy))
     Acy = A.entries @ cy
     total = 0.0 + 0.0j
-    for j in range(ctx.cfg.dim):
-        ve_x = np.conj(cx[j])          # (e_j | phi_x)
-        va_y = np.conj(Acy[j])         # (A* e_j | phi_y) = conj((A phi_y)_j)
-        total += ve_x * np.conj(va_y)
+    # (e_j | phi_x) = conj(cx_j) times conj((A* e_j | phi_y)) = (A phi_y)_j,
+    # summed over j in order as Python complex numbers
+    for ve_x, acy_j in zip(cx.conj().tolist(), Acy.tolist()):
+        total += ve_x * acy_j
     return float(abs(direct - total))
 
 
@@ -135,7 +150,7 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
     on its column index, giving S at the (2M-1)^{2n} node points.  Expansion:
     the node values in grid order (a_1..a_n, b_1..b_n), then the
     interpolation matrix B on each of the 2n axes.  Absolute error about
-    eps * max|S|.  The size guard counts the last node step: the tensordot
+    eps * max|S|.  The size guard counts the last node step: the matmul
     output (M (2M-1)^{2n} entries), multiplied by conj(c) in place, and its
     sum; node values that overflow are refused by GridFunction._from_nodes.
     The result keeps its node tensor and B, and its values, expanded on
@@ -151,9 +166,10 @@ def covariant_symbol(ctx: RepresentationContext, A: OperatorMatrix) -> GridFunct
     S = A.entries.reshape((M,) * (2 * n))
     with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused
         for k in range(n):  # axes (m_k.., j_k.., node pairs 1..k-1)
-            S = np.tensordot(S, c, axes=([0], [1]))  # m_k -> pair k, last
+            # m_k -> pair k, last; BLAS reads the cached c transposed
+            S = (S.reshape(M, -1).T @ c.T).reshape(S.shape[1:] + (N * N,))
             S = np.moveaxis(S, n - 1 - k, -2)  # j_k beside it (a view)
-            S *= cbar_t  # in place: the tensordot output is this route's own
+            S *= cbar_t  # in place: the matmul output is this route's own
             S = S.sum(axis=-2)
     S = S.reshape((N,) * (2 * n))  # node axes (a_1 b_1 a_2 b_2 ...)
     B = _interpolation_matrix(grid.lam, grid.L, grid.G, M)

@@ -5,7 +5,10 @@ incoming config contributes lambda and the tolerance knobs, while M, L, G are
 fixed per check so that every row measures the identity rather than an
 under-resolved grid; the Moyal rows are transforms.moyal_residual itself.
 All randomness flows from one seeded generator, so two runs with the same
-config and seed produce byte-identical residuals.
+config and seed produce byte-identical residuals.  Each row also carries its
+wall time, the time since the previous row was added (the first row's counts
+from the start of the run), so a row whose computation the next row shares
+carries that computation's time.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ class CheckResult:
     op: str          # "<": value must stay below; ">": value must exceed
     passed: bool
     detail: str = ""
+    elapsed_s: float = 0.0  # wall time since the previous row was added
 
 
 @dataclass
@@ -50,14 +54,19 @@ class VerificationReport:
     def residual_summary(self) -> dict:
         return {c.name: c.value for c in self.checks}
 
+    def elapsed_summary(self) -> dict:
+        """Per-check wall time in seconds, keyed like residual_summary."""
+        return {c.name: c.elapsed_s for c in self.checks}
+
     def failures(self) -> list:
         return [c.name for c in self.checks if not c.passed]
 
     def table(self) -> str:
-        lines = ["%-26s %13s    %-8s %s" % ("check", "value", "bound", "status")]
+        lines = ["%-26s %13s    %-8s %7s %s" % ("check", "value", "bound", "s",
+                                                  "status")]
         for c in self.checks:
-            lines.append("%-26s %13.6e  %s %-8.1e %s" %
-                         (c.name, c.value, c.op, c.threshold,
+            lines.append("%-26s %13.6e  %s %-8.1e %7.4f %s" %
+                         (c.name, c.value, c.op, c.threshold, c.elapsed_s,
                           "PASS" if c.passed else "FAIL"))
         lines.append("total: %d checks, %d failed, %.1f s" %
                      (len(self.checks), len(self.failures()),
@@ -95,12 +104,17 @@ def run_verification(cfg: ModelConfig, seed: int = 0) -> VerificationReport:
     lam = cfg.lam
     rng = np.random.default_rng(seed)
     checks = []
+    last = t0
 
     def add(name, value, threshold, op="<", detail=""):
+        nonlocal last
+        now = time.perf_counter()
         ok = value < threshold if op == "<" else value > threshold
         checks.append(CheckResult(name=name, value=float(value),
                                   threshold=float(threshold), op=op,
-                                  passed=bool(ok), detail=detail))
+                                  passed=bool(ok), detail=detail,
+                                  elapsed_s=now - last))
+        last = now
 
     def make_ctx(M, G):
         return RepresentationContext(ModelConfig(

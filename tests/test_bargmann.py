@@ -378,6 +378,38 @@ def test_table_has_no_entries_below_floor(lam):
     assert mod[mod > 0.0].min() ** 2 >= np.finfo(float).tiny
 
 
+@pytest.mark.parametrize("r", [0.3, 2.0, 5.0, 8.0, 27.0])
+def test_bargmann_columns_match_the_closed_form(r):
+    # C_d = e^{-|w|^2/2} w^d / sqrt(d!) in 40 digits: entries above the floor
+    # hold 2 (|w|^2/2 + d + 1) eps relative (the exponential's and the d
+    # factors' rounding), entries below it are exact zeros
+    mpmath = pytest.importorskip("mpmath")
+    M = 64
+    w = r * np.exp(1j * np.array([0.4, 2.1, 4.7]))
+    got = schroedinger._bargmann_columns(w, M)
+    tol = 2.0 * (r * r / 2.0 + np.arange(M) + 1.0) * EPS
+    with mpmath.workdps(40):
+        for wk, row in zip(w, got):
+            z = mpmath.mpc(wk.real, wk.imag)
+            ref = [mpmath.exp(-abs(z) ** 2 / 2) * z ** d
+                   / mpmath.sqrt(mpmath.factorial(d)) for d in range(M)]
+            mod = np.array([float(abs(x)) for x in ref])
+            err = np.array([float(abs(mpmath.mpc(g.real, g.imag) - x) / abs(x))
+                            for g, x in zip(row, ref)])
+            above, below = mod >= FLOOR * (1 + tol), mod < FLOOR * (1 - tol)
+            assert np.all(err[above] <= tol[above])
+            assert np.all(row[below] == 0.0)
+            assert np.all(above | below)  # no entry sits at the floor
+    if r == 27.0:
+        # the head e^{-364.5} is under the floor, but the product runs on
+        # the unflushed values: the 60 modes past d = 3 climb back above it
+        assert not got[:, :4].any() and np.all(got[:, 4:] != 0.0)
+    # a batch over several flush blocks gives the same rows bit for bit
+    many = np.repeat(w, 3 * schroedinger._FLUSH_ENTRIES // M)
+    np.testing.assert_array_equal(schroedinger._bargmann_columns(many, M),
+                                  np.repeat(got, len(many) // 3, axis=0))
+
+
 def test_table_working_set_within_twice_the_table():
     ctx = _ctx(1.0, 32, 256)
     tracemalloc.start()

@@ -60,6 +60,26 @@ def test_verify_passes_and_writes_outputs(paths, capsys):
     assert "PASS" in table and "FAIL" not in table
 
 
+def test_verify_times_every_check(paths, capsys):
+    # one wall time per row, keyed like the residuals, in --json and in the
+    # table's s column; the manifest keeps the residuals alone
+    out = paths["root"] / "out_times"
+    rc = main(["verify", "--config", str(paths["cfg_path"]),
+               "--out", str(out), "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["elapsed_s"]) == list(payload["residual_summary"])
+    doc = json.loads((out / "verify_manifest.json").read_text())
+    assert "elapsed_s" not in doc
+    header = (out / "verify_table.txt").read_text().splitlines()[0]
+    assert header.split() == ["check", "value", "bound", "s", "status"]
+    report = berezin.run_verification(paths["cfg"], seed=3)
+    times = report.elapsed_summary()
+    assert list(times) == list(report.residual_summary())
+    assert all(t >= 0.0 for t in times.values())
+    assert sum(times.values()) <= report.elapsed_seconds
+
+
 def test_verify_reports_m1_sigma(paths, capsys):
     cfg_path = paths["root"] / "cfg_m1.json"
     save_config(cfg_path, default_config(lam=1.0, M=1))

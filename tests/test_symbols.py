@@ -1,6 +1,7 @@
 """Kernel, symbols, trace/HS identities, covariance, injectivity map."""
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -755,5 +756,37 @@ def test_symbol_caches_are_bounded_and_read_only(ctx8):
     assert c.shape == (15 * 15, 8) and B.shape == (128, 15)
     for arr in (c, cbar_t, B):
         assert not arr.flags.writeable
-    # the battery cycles through 9 contexts; a smaller cache misses every call
+    # the battery reads 8 (lam, L, G, M) keys at each lambda; a smaller
+    # cache misses every call
     assert symbols._interpolation_matrix.cache_info().maxsize >= 9
+
+
+def test_frame_operator_is_one_cached_read_only_factor(ctx8):
+    W = frame_operator(ctx8)
+    assert not W.flags.writeable
+    assert frame_operator(ctx8) is W
+    grid = ctx8.grid
+    c, cbar_t = schroedinger._node_table(8, np.sqrt(2.0))
+    u = schroedinger._interpolation_matrix(grid.lam, grid.L, grid.G,
+                                           8).sum(axis=0)
+    dd1 = grid.lam * grid.h ** 2 / (2.0 * np.pi)
+    np.testing.assert_array_equal(
+        W, (cbar_t * (dd1 * np.outer(u, u).ravel())) @ c)
+
+
+def test_verify_cycle_over_three_lambdas_reads_warm_caches():
+    # the second cycle at lambda 0.5, 1, 4 builds no interpolation matrix
+    # and no frame factor, and its residuals equal the first's byte for byte
+    caches = (schroedinger._interpolation_matrix, symbols._frame_factor)
+    for cache in caches:
+        cache.cache_clear()
+    cfgs = [default_config(lam=lam) for lam in (0.5, 1.0, 4.0)]
+
+    def cycle():
+        return [json.dumps(run_verification(cfg, seed=7).residual_summary(),
+                           sort_keys=True).encode() for cfg in cfgs]
+
+    first = cycle()
+    misses = [cache.cache_info().misses for cache in caches]
+    assert cycle() == first
+    assert [cache.cache_info().misses for cache in caches] == misses
